@@ -16,12 +16,15 @@ import logging
 import os
 import sys
 import tempfile
+from dataclasses import fields
+from operator import itemgetter
 from pathlib import Path
 
 from . import __version__
 from .clustering import ClusterSummary, search_threshold, summarize
 from .config import ConfigInvalid, PipelineConfig, default_config_text, load_config
 from .contentspace import (
+    LEVELS,
     FeatureScaler,
     GameParams,
     classify_difficulty,
@@ -55,21 +58,10 @@ from .mapping import (
 logger = logging.getLogger(__name__)
 
 STAGES = ("annotate", "gen-space", "categorize", "cluster", "map", "simulate", "analyze")
-LEVELS = ("easy", "medium", "hard")
+GAME_COLUMNS = tuple(f.name for f in fields(GameRecord))
+SPACE_COLUMNS = tuple(c for c in GAME_COLUMNS if c != "difficulty")
 
-GAME_COLUMNS = (
-    "game_id",
-    "maze_id",
-    "enemy_type",
-    "total_enemy",
-    "total_bullets",
-    "difficulty",
-    "total_path",
-    "total_corners",
-    "total_intersections",
-    "total_deadend",
-    "complexity",
-)
+_PARSERS = {"str": str, "int": int, "float": float}
 
 
 class MissingPrerequisite(SegforgeError):
@@ -78,6 +70,10 @@ class MissingPrerequisite(SegforgeError):
 
 class WorkspaceLocked(SegforgeError):
     """Another pipeline run holds the working directory."""
+
+
+class MalformedArtifact(SegforgeError):
+    """An artifact line does not hold the record its stage expects."""
 
 
 # ===== Artifact plumbing =====
@@ -123,38 +119,71 @@ def _csv_text(config_hash: str, header: tuple[str, ...], rows) -> str:
     return buf.getvalue()
 
 
-def _read_csv(path: Path, config_hash: str, producing_stage: str) -> list[dict[str, str]]:
+def _malformed(path: Path, line: int, exc: Exception) -> MalformedArtifact:
+    return MalformedArtifact(f"{path.name} line {line}: {type(exc).__name__}: {exc}")
+
+
+def _read_csv(path: Path, config_hash: str, producing_stage: str, convert) -> list:
+    """``convert`` applied to each data row of a stage CSV, passed as a
+    column -> text dict; a row that does not convert names its line."""
     _require(path, producing_stage)
     found = None
+    numbers: list[int] = []
     body: list[str] = []
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         if line.startswith("#"):
             if "config_hash=" in line:
                 found = line.split("config_hash=", 1)[1].strip()
-            continue
-        body.append(line)
+        elif line:
+            numbers.append(number)
+            body.append(line)
     _check_hash(found, config_hash, path)
-    return list(csv.DictReader(body))
+    rows = csv.reader(body)
+    header = next(rows, [])
+    records = []
+    number = 0
+    try:
+        for number, values in zip(numbers[1:], rows):
+            if len(values) != len(header):
+                raise ValueError(f"{len(values)} fields under a {len(header)}-column header")
+            records.append(convert(dict(zip(header, values))))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _malformed(path, number, exc) from None
+    return records
+
+
+def _row_parser(cls: type):
+    """Build a ``cls`` record from a CSV row, parsing each field by its type."""
+    parsers = [(f.name, _PARSERS[f.type]) for f in fields(cls)]
+    return lambda row: cls(*[parse(row[name]) for name, parse in parsers])
 
 
 def _jsonl_text(meta: dict, lines: list[str]) -> str:
     return "\n".join([json.dumps(meta, sort_keys=False)] + lines) + "\n"
 
 
-def _read_jsonl(path: Path, config_hash: str, producing_stage: str) -> tuple[dict, list[dict]]:
+def _read_jsonl(
+    path: Path, config_hash: str, producing_stage: str, convert=None
+) -> tuple[dict, list]:
+    """The meta line and the records of a stage JSONL file, ``convert``
+    applied to each record; a line that does not parse names its number."""
     _require(path, producing_stage)
-    records: list[dict] = []
+    records: list = []
     meta: dict = {}
+    number = 0
     with path.open(encoding="utf-8") as handle:
-        for index, line in enumerate(handle):
-            line = line.strip()
-            if not line:
-                continue
-            data = json.loads(line)
-            if index == 0:
-                meta = data
-            else:
-                records.append(data)
+        try:
+            for number, line in enumerate(handle, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                data = json.loads(line)
+                if number == 1:
+                    meta = data
+                else:
+                    records.append(data if convert is None else convert(data))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _malformed(path, number, exc) from None
     _check_hash(meta.get("config_hash"), config_hash, path)
     return meta, records
 
@@ -223,77 +252,32 @@ def run_gen_space(config: PipelineConfig, out: Path) -> None:
         _jsonl_text(meta, [maze_record_json(m, features[m.maze_id]) for m in mazes]),
     )
 
-    header = tuple(c for c in GAME_COLUMNS if c != "difficulty")
     rows = []
     for game in games:
-        f = features[game.maze_id]
-        rows.append(
-            [
-                game.game_id,
-                game.maze_id,
-                game.enemy_type,
-                game.total_enemy,
-                game.total_bullets,
-                f.total_path,
-                f.total_corners,
-                f.total_intersections,
-                f.total_deadend,
-                repr(f.complexity),
-            ]
-        )
-    _atomic_write(out / "space.csv", _csv_text(config_hash, header, rows))
+        # the game's own maze_id wins over the features' identical one
+        values = {**vars(features[game.maze_id]), **vars(game)}
+        rows.append([values[c] for c in SPACE_COLUMNS])
+    _atomic_write(out / "space.csv", _csv_text(config_hash, SPACE_COLUMNS, rows))
     logger.info("generated %d mazes and %d game variants", len(mazes), len(games))
 
 
 def run_categorize(config: PipelineConfig, out: Path) -> None:
     config_hash = config.config_hash()
-    rows = _read_csv(out / "space.csv", config_hash, "gen-space")
-    out_rows = []
-    for row in rows:
-        params = GameParams(
-            game_id=row["game_id"],
-            maze_id=row["maze_id"],
-            enemy_type=int(row["enemy_type"]),
-            total_enemy=int(row["total_enemy"]),
-            total_bullets=int(row["total_bullets"]),
-        )
-        difficulty = classify_difficulty(params).value
-        out_rows.append(
-            [
-                row["game_id"],
-                row["maze_id"],
-                row["enemy_type"],
-                row["total_enemy"],
-                row["total_bullets"],
-                difficulty,
-                row["total_path"],
-                row["total_corners"],
-                row["total_intersections"],
-                row["total_deadend"],
-                row["complexity"],
-            ]
-        )
+    params = _row_parser(GameParams)
+
+    def categorized(row: dict[str, str]) -> list[str]:
+        row["difficulty"] = classify_difficulty(params(row)).value
+        return [row[c] for c in GAME_COLUMNS]
+
+    out_rows = _read_csv(out / "space.csv", config_hash, "gen-space", categorized)
     _atomic_write(out / "games.csv", _csv_text(config_hash, GAME_COLUMNS, out_rows))
     logger.info("categorized %d games", len(out_rows))
 
 
-def _vector_from_row(row: dict[str, str]) -> tuple[float, ...]:
-    return (
-        float(row["enemy_type"]),
-        float(row["total_enemy"]),
-        float(row["total_bullets"]),
-        float(row["total_path"]),
-        float(row["total_corners"]),
-        float(row["total_intersections"]),
-        float(row["total_deadend"]),
-        float(row["complexity"]),
-    )
-
-
 def run_cluster(config: PipelineConfig, out: Path) -> None:
     config_hash = config.config_hash()
-    rows = _read_csv(out / "games.csv", config_hash, "categorize")
-    raw = {row["game_id"]: _vector_from_row(row) for row in rows}
+    games = _load_games(out, config_hash)
+    raw = {game.game_id: game.vector() for game in games}
     # one scaler over the whole space keeps the three levels comparable
     scaler = FeatureScaler.fit(list(raw.values()))
 
@@ -301,7 +285,7 @@ def run_cluster(config: PipelineConfig, out: Path) -> None:
     member_rows = []
     log_rows = []
     for level in LEVELS:
-        tags = sorted(row["game_id"] for row in rows if row["difficulty"] == level)
+        tags = sorted(game.game_id for game in games if game.difficulty == level)
         points = scaler.transform([raw[tag] for tag in tags])
         result = search_threshold(
             points,
@@ -358,47 +342,36 @@ def run_cluster(config: PipelineConfig, out: Path) -> None:
 
 
 def _load_annotations(out: Path, config_hash: str) -> list[CompoundAnnotation]:
-    _, records = _read_jsonl(out / "annotations.jsonl", config_hash, "annotate")
-    return [CompoundAnnotation(**record) for record in records]
+    _, records = _read_jsonl(
+        out / "annotations.jsonl",
+        config_hash,
+        "annotate",
+        lambda record: CompoundAnnotation(**record),
+    )
+    return records
 
 
 def _load_games(out: Path, config_hash: str) -> list[GameRecord]:
-    rows = _read_csv(out / "games.csv", config_hash, "categorize")
-    return [
-        GameRecord(
-            game_id=row["game_id"],
-            maze_id=row["maze_id"],
-            enemy_type=int(row["enemy_type"]),
-            total_enemy=int(row["total_enemy"]),
-            total_bullets=int(row["total_bullets"]),
-            difficulty=row["difficulty"],
-            total_path=int(row["total_path"]),
-            total_corners=int(row["total_corners"]),
-            total_intersections=int(row["total_intersections"]),
-            total_deadend=int(row["total_deadend"]),
-            complexity=float(row["complexity"]),
-        )
-        for row in rows
-    ]
+    return _read_csv(out / "games.csv", config_hash, "categorize", _row_parser(GameRecord))
 
 
 def _load_summaries(out: Path, config_hash: str) -> list[ClusterSummary]:
     members: dict[str, list[str]] = {}
-    for row in _read_csv(out / "membership.csv", config_hash, "cluster"):
-        members.setdefault(row["cluster_id"], []).append(row["game_id"])
-    summaries = []
-    for row in _read_csv(out / "clusters.csv", config_hash, "cluster"):
-        summaries.append(
-            ClusterSummary(
-                cluster_id=row["cluster_id"],
-                difficulty=row["difficulty"],
-                n=int(row["n"]),
-                s=float(row["s"]),
-                centroid=tuple(float(row[f"c{i}"]) for i in range(8)),
-                member_game_ids=tuple(sorted(members.get(row["cluster_id"], ()))),
-            )
+    pairs = itemgetter("cluster_id", "game_id")
+    for cluster_id, game_id in _read_csv(out / "membership.csv", config_hash, "cluster", pairs):
+        members.setdefault(cluster_id, []).append(game_id)
+
+    def summary(row: dict[str, str]) -> ClusterSummary:
+        return ClusterSummary(
+            cluster_id=row["cluster_id"],
+            difficulty=row["difficulty"],
+            n=int(row["n"]),
+            s=float(row["s"]),
+            centroid=tuple(float(row[f"c{i}"]) for i in range(8)),
+            member_game_ids=tuple(sorted(members.get(row["cluster_id"], ()))),
         )
-    return summaries
+
+    return _read_csv(out / "clusters.csv", config_hash, "cluster", summary)
 
 
 def run_map(config: PipelineConfig, out: Path, export_plots: bool = False) -> None:
@@ -437,11 +410,8 @@ def run_simulate(config: PipelineConfig, out: Path, recycle: bool = False) -> No
     config_hash = config.config_hash()
     _require(out / "library.sqlite", "map")
     library = load_library(str(out / "library.sqlite"), expected_config_hash=config_hash)
-    _, maze_records = _read_jsonl(out / "mazes.jsonl", config_hash, "gen-space")
-    mazes = {}
-    for record in maze_records:
-        grid, _ = maze_from_record(record)
-        mazes[grid.maze_id] = grid
+    _, decoded = _read_jsonl(out / "mazes.jsonl", config_hash, "gen-space", maze_from_record)
+    mazes = {grid.maze_id: grid for grid, _ in decoded}
 
     recycle = recycle or config.sim_recycle
     session_lines: list[str] = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .errors import SegforgeError
@@ -23,28 +23,12 @@ ENEMY_TYPES = (0, 1)  # 0 wanders randomly, 1 chases the player
 ENEMY_COUNTS = (1, 2, 3, 4, 5)
 BULLET_COUNTS = (1, 2, 3, 4, 5)
 
-FEATURE_NAMES = (
-    "enemy_type",
-    "total_enemy",
-    "total_bullets",
-    "total_path",
-    "total_corners",
-    "total_intersections",
-    "total_deadend",
-    "complexity",
-)
-
-
 class DimensionTooSmall(SegforgeError):
     """Maze dimensions must be odd and at least 5x5."""
 
 
 class EmptyMazeSet(SegforgeError):
     """Space enumeration needs at least one maze."""
-
-
-class MazeFeatureMismatch(SegforgeError):
-    """Feature record does not belong to the maze named by the game params."""
 
 
 class InsufficientData(SegforgeError):
@@ -58,6 +42,9 @@ class Difficulty(str, Enum):
 
     def __str__(self) -> str:  # CSV-friendly
         return self.value
+
+
+LEVELS = tuple(level.value for level in Difficulty)
 
 
 @dataclass(frozen=True)
@@ -81,6 +68,10 @@ class MazeFeatures:
     total_deadend: int
     complexity: float
     maze_id: str | None = None
+
+
+_MAZE_FEATURES = tuple(f.name for f in fields(MazeFeatures) if f.name != "maze_id")
+FEATURE_NAMES = ("enemy_type", "total_enemy", "total_bullets") + _MAZE_FEATURES
 
 
 @dataclass(frozen=True)
@@ -233,31 +224,12 @@ def classify_difficulty(params: GameParams) -> Difficulty:
     return Difficulty.MEDIUM if params.total_enemy <= 2 else Difficulty.HARD
 
 
-# ===== Feature vectors =====
-
-
-def vectorize(params: GameParams, features: MazeFeatures) -> tuple[float, ...]:
-    """Eight ordered reals: the three play parameters, then the five maze
-    features, in FEATURE_NAMES order."""
-    if features.maze_id is not None and features.maze_id != params.maze_id:
-        raise MazeFeatureMismatch(
-            f"features are for {features.maze_id!r}, params for {params.maze_id!r}"
-        )
-    return (
-        float(params.enemy_type),
-        float(params.total_enemy),
-        float(params.total_bullets),
-        float(features.total_path),
-        float(features.total_corners),
-        float(features.total_intersections),
-        float(features.total_deadend),
-        float(features.complexity),
-    )
+# ===== Feature scaling =====
 
 
 @dataclass(frozen=True)
 class FeatureScaler:
-    """Per-dimension min/max bounds for reversible [0, 1] scaling."""
+    """Per-dimension min/max bounds for [0, 1] scaling."""
 
     mins: tuple[float, ...]
     maxs: tuple[float, ...]
@@ -284,23 +256,6 @@ class FeatureScaler:
                 )
             )
         return out
-
-    def inverse(self, vectors: list[tuple[float, ...]]) -> list[tuple[float, ...]]:
-        spans = [mx - mn for mn, mx in zip(self.mins, self.maxs)]
-        out = []
-        for v in vectors:
-            out.append(
-                tuple(
-                    mn + x * span if span else mn
-                    for x, mn, span in zip(v, self.mins, spans)
-                )
-            )
-        return out
-
-
-def normalize(vectors: list[tuple[float, ...]]) -> list[tuple[float, ...]]:
-    """Min-max scale every dimension to [0, 1]; constant dimensions map to 0."""
-    return FeatureScaler.fit(vectors).transform(vectors)
 
 
 # ===== Maze store serialization =====
@@ -337,18 +292,9 @@ def decode_cells(rle: str, width: int, height: int) -> tuple[tuple[int, ...], ..
 
 
 def maze_to_record(grid: MazeGrid, features: MazeFeatures) -> dict:
-    return {
-        "maze_id": grid.maze_id,
-        "seed": grid.seed,
-        "width": grid.width,
-        "height": grid.height,
-        "cells": encode_cells(grid),
-        "total_path": features.total_path,
-        "total_corners": features.total_corners,
-        "total_intersections": features.total_intersections,
-        "total_deadend": features.total_deadend,
-        "complexity": features.complexity,
-    }
+    record = dict(vars(grid), cells=encode_cells(grid))
+    record.update((name, getattr(features, name)) for name in _MAZE_FEATURES)
+    return record
 
 
 def maze_from_record(record: dict) -> tuple[MazeGrid, MazeFeatures]:
@@ -360,12 +306,7 @@ def maze_from_record(record: dict) -> tuple[MazeGrid, MazeFeatures]:
         cells=decode_cells(record["cells"], record["width"], record["height"]),
     )
     features = MazeFeatures(
-        total_path=record["total_path"],
-        total_corners=record["total_corners"],
-        total_intersections=record["total_intersections"],
-        total_deadend=record["total_deadend"],
-        complexity=record["complexity"],
-        maze_id=record["maze_id"],
+        *[record[name] for name in _MAZE_FEATURES], maze_id=record["maze_id"]
     )
     return grid, features
 

@@ -81,17 +81,8 @@ class CompoundAnnotation:
     compound_id: int | None = None
 
     def to_record(self) -> dict[str, int | str]:
-        """Field dict in a fixed order, suitable for JSON export."""
-        return {
-            "formula": self.formula,
-            "atom_1_number": self.atom_1_number,
-            "atom_2_number": self.atom_2_number,
-            "total_types_of_atom": self.total_types_of_atom,
-            "total_atom": self.total_atom,
-            "total_character_symbol_1": self.total_character_symbol_1,
-            "total_character_symbol_2": self.total_character_symbol_2,
-            "compound_id": self.compound_id,
-        }
+        """Field dict in declaration order, suitable for JSON export."""
+        return dict(vars(self))
 
     def to_json_line(self) -> str:
         return json.dumps(self.to_record(), sort_keys=False)

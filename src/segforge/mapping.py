@@ -13,15 +13,15 @@ import logging
 import os
 import sqlite3
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 
 from .clustering import ClusterSummary
+from .contentspace import FEATURE_NAMES, LEVELS
 from .errors import SegforgeError
 from .knowledge import CompoundAnnotation
 
 logger = logging.getLogger(__name__)
-
-LEVELS = ("easy", "medium", "hard")
 
 
 class CardinalityMismatch(SegforgeError):
@@ -38,7 +38,11 @@ class CorruptStore(SegforgeError):
 
 @dataclass(frozen=True)
 class GameRecord:
-    """One game variant with its difficulty and maze features."""
+    """One game variant with its difficulty and maze features.
+
+    The fields, in this order, are the columns of ``games.csv`` and of the
+    library's ``games`` table, and the keys of its JSON export.
+    """
 
     game_id: str
     maze_id: str
@@ -53,16 +57,15 @@ class GameRecord:
     complexity: float
 
     def vector(self) -> tuple[float, ...]:
-        return (
-            float(self.enemy_type),
-            float(self.total_enemy),
-            float(self.total_bullets),
-            float(self.total_path),
-            float(self.total_corners),
-            float(self.total_intersections),
-            float(self.total_deadend),
-            float(self.complexity),
-        )
+        """The clustering feature vector, in FEATURE_NAMES order.
+
+        Counts stay ints: every consumer mixes them with floats or divides
+        them, which gives the same values as converting them first.
+        """
+        return _feature_values(self)
+
+
+_feature_values = attrgetter(*FEATURE_NAMES)
 
 
 @dataclass(frozen=True)
@@ -163,9 +166,6 @@ class ContentLibrary:
 
 def validate_library(library: ContentLibrary) -> None:
     """Check cross-references; raise IntegrityViolation on the first hole."""
-    game_ids = {g.game_id for g in library.games}
-    cluster_ids = {c.cluster_id for c in library.clusters}
-    compound_ids = {c.compound_id for c in library.compounds}
     seen_game_owner: dict[str, str] = {}
     for cluster in library.clusters:
         if cluster.n != len(cluster.member_game_ids):
@@ -174,9 +174,15 @@ def validate_library(library: ContentLibrary) -> None:
                 f"{len(cluster.member_game_ids)} members"
             )
         for game_id in cluster.member_game_ids:
-            if game_id not in game_ids:
+            game = library._games_by_id.get(game_id)
+            if game is None:
                 raise IntegrityViolation(
                     f"cluster {cluster.cluster_id!r} references unknown game {game_id!r}"
+                )
+            if game.difficulty != cluster.difficulty:
+                raise IntegrityViolation(
+                    f"game {game_id!r} is {game.difficulty!r} but its cluster "
+                    f"{cluster.cluster_id!r} is {cluster.difficulty!r}"
                 )
             owner = seen_game_owner.setdefault(game_id, cluster.cluster_id)
             if owner != cluster.cluster_id:
@@ -185,10 +191,16 @@ def validate_library(library: ContentLibrary) -> None:
                 )
     mapped_clusters: set[str] = set()
     for entry in library.mapping:
-        if entry.compound_id not in compound_ids:
+        if entry.compound_id not in library._compounds_by_id:
             raise IntegrityViolation(f"mapping references unknown compound {entry.compound_id}")
-        if entry.cluster_id not in cluster_ids:
+        cluster = library._clusters_by_id.get(entry.cluster_id)
+        if cluster is None:
             raise IntegrityViolation(f"mapping references unknown cluster {entry.cluster_id!r}")
+        if cluster.difficulty != entry.difficulty:
+            raise IntegrityViolation(
+                f"mapping puts {entry.difficulty!r} material of compound {entry.compound_id} "
+                f"on {cluster.difficulty!r} cluster {entry.cluster_id!r}"
+            )
         if entry.cluster_id in mapped_clusters:
             raise IntegrityViolation(f"cluster {entry.cluster_id!r} mapped twice")
         mapped_clusters.add(entry.cluster_id)
@@ -196,31 +208,28 @@ def validate_library(library: ContentLibrary) -> None:
 
 # ===== Relational persistence =====
 
-_SCHEMA = """
-CREATE TABLE compounds (
-    compound_id INTEGER PRIMARY KEY,
-    formula TEXT NOT NULL UNIQUE,
-    atom_1_number INTEGER NOT NULL,
-    atom_2_number INTEGER NOT NULL,
-    total_types_of_atom INTEGER NOT NULL,
-    total_atom INTEGER NOT NULL,
-    total_character_symbol_1 INTEGER NOT NULL,
-    total_character_symbol_2 INTEGER NOT NULL
-);
-CREATE TABLE games (
-    game_id TEXT PRIMARY KEY,
-    maze_id TEXT NOT NULL,
-    enemy_type INTEGER NOT NULL,
-    total_enemy INTEGER NOT NULL,
-    total_bullets INTEGER NOT NULL,
-    difficulty TEXT NOT NULL,
-    total_path INTEGER NOT NULL,
-    total_corners INTEGER NOT NULL,
-    total_intersections INTEGER NOT NULL,
-    total_deadend INTEGER NOT NULL,
-    complexity REAL NOT NULL
-);
-CREATE TABLE clusters (
+_SQL_TYPES = {"str": "TEXT", "int": "INTEGER", "int | None": "INTEGER", "float": "REAL"}
+
+
+def _create_table(name: str, columns, constraints: dict[str, str]) -> str:
+    """CREATE TABLE text, one ``name TYPE constraint`` line per dataclass
+    field; a column missing from ``constraints`` is NOT NULL."""
+    lines = ",\n".join(
+        f"    {c.name} {_SQL_TYPES[c.type]} {constraints.get(c.name, 'NOT NULL')}"
+        for c in columns
+    )
+    return f"CREATE TABLE {name} (\n{lines}\n);\n"
+
+
+_SCHEMA = (
+    # compound_id leads the table although it is the annotation's last field
+    _create_table(
+        "compounds",
+        sorted(fields(CompoundAnnotation), key=lambda c: c.name != "compound_id"),
+        {"compound_id": "PRIMARY KEY", "formula": "NOT NULL UNIQUE"},
+    )
+    + _create_table("games", fields(GameRecord), {"game_id": "PRIMARY KEY"})
+    + """CREATE TABLE clusters (
     cluster_id TEXT PRIMARY KEY,
     difficulty TEXT NOT NULL,
     n INTEGER NOT NULL,
@@ -243,6 +252,23 @@ CREATE TABLE metadata (
     value TEXT NOT NULL
 );
 """
+)
+
+
+def _insert(conn: sqlite3.Connection, table: str, cls: type, records: list) -> None:
+    """Insert dataclass records, one column per field."""
+    names = [f.name for f in fields(cls)]
+    conn.executemany(
+        f"INSERT INTO {table} ({', '.join(names)}) VALUES ({','.join('?' * len(names))})",
+        map(attrgetter(*names), records),
+    )
+
+
+def _select(conn: sqlite3.Connection, cls: type, table: str, order_by: str) -> list:
+    """Every row of ``table`` as a ``cls`` record, built positionally."""
+    names = ", ".join(f.name for f in fields(cls))
+    rows = conn.execute(f"SELECT {names} FROM {table} ORDER BY {order_by}")
+    return [cls(*row) for row in rows]
 
 
 def save_library(library: ContentLibrary, path: str) -> None:
@@ -259,66 +285,25 @@ def save_library(library: ContentLibrary, path: str) -> None:
         conn = sqlite3.connect(temp_path)
         try:
             conn.executescript(_SCHEMA)
-            conn.executemany(
-                "INSERT INTO compounds VALUES (?,?,?,?,?,?,?,?)",
-                [
-                    (
-                        c.compound_id,
-                        c.formula,
-                        c.atom_1_number,
-                        c.atom_2_number,
-                        c.total_types_of_atom,
-                        c.total_atom,
-                        c.total_character_symbol_1,
-                        c.total_character_symbol_2,
-                    )
-                    for c in sorted(library.compounds, key=lambda c: c.compound_id)
-                ],
-            )
-            conn.executemany(
-                "INSERT INTO games VALUES (?,?,?,?,?,?,?,?,?,?,?)",
-                [
-                    (
-                        g.game_id,
-                        g.maze_id,
-                        g.enemy_type,
-                        g.total_enemy,
-                        g.total_bullets,
-                        g.difficulty,
-                        g.total_path,
-                        g.total_corners,
-                        g.total_intersections,
-                        g.total_deadend,
-                        g.complexity,
-                    )
-                    for g in sorted(library.games, key=lambda g: g.game_id)
-                ],
-            )
-            ordered_clusters = sorted(library.clusters, key=lambda c: c.cluster_id)
+            # ContentLibrary keeps every list in canonical order
+            _insert(conn, "compounds", CompoundAnnotation, library.compounds)
+            _insert(conn, "games", GameRecord, library.games)
             conn.executemany(
                 "INSERT INTO clusters VALUES (?,?,?,?,?)",
                 [
                     (c.cluster_id, c.difficulty, c.n, c.s, json.dumps(list(c.centroid)))
-                    for c in ordered_clusters
+                    for c in library.clusters
                 ],
             )
             conn.executemany(
                 "INSERT INTO membership VALUES (?,?)",
                 [
                     (c.cluster_id, game_id)
-                    for c in ordered_clusters
-                    for game_id in sorted(c.member_game_ids)
+                    for c in library.clusters
+                    for game_id in c.member_game_ids
                 ],
             )
-            conn.executemany(
-                "INSERT INTO mapping VALUES (?,?,?)",
-                [
-                    (m.compound_id, m.difficulty, m.cluster_id)
-                    for m in sorted(
-                        library.mapping, key=lambda m: (m.compound_id, m.difficulty)
-                    )
-                ],
-            )
+            _insert(conn, "mapping", MappingEntry, library.mapping)
             conn.executemany(
                 "INSERT INTO metadata VALUES (?,?)",
                 sorted(library.metadata.items()),
@@ -345,31 +330,8 @@ def load_library(path: str, expected_config_hash: str | None = None) -> ContentL
     try:
         conn = sqlite3.connect(path)
         try:
-            compounds = [
-                CompoundAnnotation(
-                    formula=row[1],
-                    atom_1_number=row[2],
-                    atom_2_number=row[3],
-                    total_types_of_atom=row[4],
-                    total_atom=row[5],
-                    total_character_symbol_1=row[6],
-                    total_character_symbol_2=row[7],
-                    compound_id=row[0],
-                )
-                for row in conn.execute(
-                    "SELECT compound_id, formula, atom_1_number, atom_2_number,"
-                    " total_types_of_atom, total_atom, total_character_symbol_1,"
-                    " total_character_symbol_2 FROM compounds ORDER BY compound_id"
-                )
-            ]
-            games = [
-                GameRecord(*row)
-                for row in conn.execute(
-                    "SELECT game_id, maze_id, enemy_type, total_enemy, total_bullets,"
-                    " difficulty, total_path, total_corners, total_intersections,"
-                    " total_deadend, complexity FROM games ORDER BY game_id"
-                )
-            ]
+            compounds = _select(conn, CompoundAnnotation, "compounds", "compound_id")
+            games = _select(conn, GameRecord, "games", "game_id")
             members: dict[str, list[str]] = {}
             for cluster_id, game_id in conn.execute(
                 "SELECT cluster_id, game_id FROM membership ORDER BY cluster_id, game_id"
@@ -389,13 +351,7 @@ def load_library(path: str, expected_config_hash: str | None = None) -> ContentL
                     " ORDER BY cluster_id"
                 )
             ]
-            mapping = [
-                MappingEntry(compound_id=row[0], difficulty=row[1], cluster_id=row[2])
-                for row in conn.execute(
-                    "SELECT compound_id, difficulty, cluster_id FROM mapping"
-                    " ORDER BY compound_id, difficulty"
-                )
-            ]
+            mapping = _select(conn, MappingEntry, "mapping", "compound_id, difficulty")
             metadata = dict(conn.execute("SELECT key, value FROM metadata ORDER BY key"))
         finally:
             conn.close()
@@ -430,45 +386,11 @@ def load_library(path: str, expected_config_hash: str | None = None) -> ContentL
 def export_json(library: ContentLibrary) -> str:
     """Lossless canonical JSON rendering of the whole library."""
     payload = {
-        "compounds": [
-            c.to_record() for c in sorted(library.compounds, key=lambda c: c.compound_id)
-        ],
-        "games": [
-            {
-                "game_id": g.game_id,
-                "maze_id": g.maze_id,
-                "enemy_type": g.enemy_type,
-                "total_enemy": g.total_enemy,
-                "total_bullets": g.total_bullets,
-                "difficulty": g.difficulty,
-                "total_path": g.total_path,
-                "total_corners": g.total_corners,
-                "total_intersections": g.total_intersections,
-                "total_deadend": g.total_deadend,
-                "complexity": g.complexity,
-            }
-            for g in sorted(library.games, key=lambda g: g.game_id)
-        ],
-        "clusters": [
-            {
-                "cluster_id": c.cluster_id,
-                "difficulty": c.difficulty,
-                "n": c.n,
-                "s": c.s,
-                "centroid": list(c.centroid),
-                "member_game_ids": sorted(c.member_game_ids),
-            }
-            for c in sorted(library.clusters, key=lambda c: c.cluster_id)
-        ],
-        "mapping": [
-            {
-                "compound_id": m.compound_id,
-                "difficulty": m.difficulty,
-                "cluster_id": m.cluster_id,
-            }
-            for m in sorted(library.mapping, key=lambda m: (m.compound_id, m.difficulty))
-        ],
-        "metadata": dict(sorted(library.metadata.items())),
+        "compounds": [c.to_record() for c in library.compounds],
+        "games": [vars(g) for g in library.games],
+        "clusters": [vars(c) for c in library.clusters],
+        "mapping": [vars(m) for m in library.mapping],
+        "metadata": library.metadata,
     }
     return json.dumps(payload, sort_keys=True, indent=1)
 
@@ -478,61 +400,25 @@ def library_from_json(text: str) -> ContentLibrary:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CorruptStore(f"library JSON does not parse: {exc}") from exc
-    compounds = [
-        CompoundAnnotation(
-            formula=c["formula"],
-            atom_1_number=c["atom_1_number"],
-            atom_2_number=c["atom_2_number"],
-            total_types_of_atom=c["total_types_of_atom"],
-            total_atom=c["total_atom"],
-            total_character_symbol_1=c["total_character_symbol_1"],
-            total_character_symbol_2=c["total_character_symbol_2"],
-            compound_id=c["compound_id"],
+    try:
+        library = ContentLibrary(
+            compounds=[CompoundAnnotation(**c) for c in payload["compounds"]],
+            games=[GameRecord(**g) for g in payload["games"]],
+            clusters=[
+                ClusterSummary(
+                    **{
+                        **c,
+                        "centroid": tuple(c["centroid"]),
+                        "member_game_ids": tuple(c["member_game_ids"]),
+                    }
+                )
+                for c in payload["clusters"]
+            ],
+            mapping=[MappingEntry(**m) for m in payload["mapping"]],
+            metadata=dict(payload["metadata"]),
         )
-        for c in payload["compounds"]
-    ]
-    games = [
-        GameRecord(
-            game_id=g["game_id"],
-            maze_id=g["maze_id"],
-            enemy_type=g["enemy_type"],
-            total_enemy=g["total_enemy"],
-            total_bullets=g["total_bullets"],
-            difficulty=g["difficulty"],
-            total_path=g["total_path"],
-            total_corners=g["total_corners"],
-            total_intersections=g["total_intersections"],
-            total_deadend=g["total_deadend"],
-            complexity=g["complexity"],
-        )
-        for g in payload["games"]
-    ]
-    clusters = [
-        ClusterSummary(
-            cluster_id=c["cluster_id"],
-            difficulty=c["difficulty"],
-            n=c["n"],
-            s=c["s"],
-            centroid=tuple(c["centroid"]),
-            member_game_ids=tuple(c["member_game_ids"]),
-        )
-        for c in payload["clusters"]
-    ]
-    mapping = [
-        MappingEntry(
-            compound_id=m["compound_id"],
-            difficulty=m["difficulty"],
-            cluster_id=m["cluster_id"],
-        )
-        for m in payload["mapping"]
-    ]
-    library = ContentLibrary(
-        compounds=compounds,
-        games=games,
-        clusters=clusters,
-        mapping=mapping,
-        metadata=dict(payload["metadata"]),
-    )
+    except (KeyError, TypeError) as exc:
+        raise CorruptStore(f"library JSON does not hold library records: {exc}") from exc
     validate_library(library)
     return library
 
@@ -543,8 +429,9 @@ def export_level_curves(library: ContentLibrary) -> tuple[str, str]:
     Returns the pair (n_csv, s_csv); columns are compound_id then one column
     per difficulty level.
     """
-    n_lines = ["compound_id,easy,medium,hard"]
-    s_lines = ["compound_id,easy,medium,hard"]
+    header = ",".join(("compound_id",) + LEVELS)
+    n_lines = [header]
+    s_lines = [header]
     for compound in sorted(library.compounds, key=lambda c: c.compound_id):
         sizes = []
         spreads = []

@@ -5,10 +5,16 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import shutil
+import sqlite3
+from dataclasses import fields
 
 import pytest
 
 from segforge.cli import main
+from segforge.clustering import ClusterSummary
+from segforge.knowledge import CompoundAnnotation
+from segforge.mapping import GameRecord, MappingEntry
 
 TEST_CONFIG = """\
 maze.count = 24
@@ -156,6 +162,61 @@ def test_artifacts_embed_config_hash(workdir):
     embedded = first_csv_line.split("=", 1)[1]
     meta = json.loads((out / "mazes.jsonl").read_text().splitlines()[0])
     assert meta["config_hash"] == embedded
+
+
+def test_record_fields_are_the_artifact_schema(workdir):
+    _, out = workdir
+
+    def names(cls):
+        return {f.name for f in fields(cls)}
+
+    conn = sqlite3.connect(out / "library.sqlite")
+    try:
+        for table, cls in (("games", GameRecord), ("compounds", CompoundAnnotation)):
+            columns = {row[1] for row in conn.execute(f"PRAGMA table_info({table})")}
+            assert columns == names(cls), table
+    finally:
+        conn.close()
+    payload = json.loads((out / "library.json").read_text())
+    for section, cls in (
+        ("games", GameRecord),
+        ("compounds", CompoundAnnotation),
+        ("clusters", ClusterSummary),
+        ("mapping", MappingEntry),
+    ):
+        assert {key for record in payload[section] for key in record} == names(cls), section
+    header = (out / "games.csv").read_text().splitlines()[1].split(",")
+    assert header == [f.name for f in fields(GameRecord)]
+
+
+def test_truncated_maze_store_fails_cleanly(workdir, tmp_path, capsys):
+    config, out = workdir
+    broken = tmp_path / "truncated"
+    broken.mkdir()
+    shutil.copyfile(out / "library.sqlite", broken / "library.sqlite")
+    text = (out / "mazes.jsonl").read_text()
+    (broken / "mazes.jsonl").write_text(text[: len(text) // 2])
+    last_line = len(text[: len(text) // 2].splitlines())
+    assert main(["simulate", "--config", str(config), "--out", str(broken)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert f"mazes.jsonl line {last_line}" in err
+
+
+def test_games_table_missing_a_column_fails_cleanly(workdir, tmp_path, capsys):
+    config, out = workdir
+    broken = tmp_path / "narrow"
+    broken.mkdir()
+    lines = (out / "games.csv").read_text().splitlines()
+    column = lines[1].split(",").index("total_path")
+    narrowed = [lines[0]] + [
+        ",".join(v for i, v in enumerate(line.split(",")) if i != column) for line in lines[1:]
+    ]
+    (broken / "games.csv").write_text("\n".join(narrowed) + "\n")
+    assert main(["cluster", "--config", str(config), "--out", str(broken)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "games.csv line 3" in err and "total_path" in err
 
 
 def test_early_stages_are_deterministic(workdir, tmp_path):

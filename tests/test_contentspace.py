@@ -17,10 +17,10 @@ from segforge.contentspace import (
     Difficulty,
     DimensionTooSmall,
     EmptyMazeSet,
+    FEATURE_NAMES,
     FeatureScaler,
     GameParams,
     InsufficientData,
-    MazeFeatureMismatch,
     MazeFeatures,
     MazeGrid,
     classify_difficulty,
@@ -32,9 +32,8 @@ from segforge.contentspace import (
     generate_mazes,
     maze_from_record,
     maze_to_record,
-    normalize,
-    vectorize,
 )
+from segforge.mapping import GameRecord
 
 
 def _grid_from_strings(rows: list[str], maze_id: str = "hand") -> MazeGrid:
@@ -267,58 +266,40 @@ def test_per_maze_difficulty_counts() -> None:
 
 
 def test_vectorize_component_order() -> None:
-    params = GameParams("g", "m", enemy_type=1, total_enemy=4, total_bullets=2)
-    features = MazeFeatures(
+    game = GameRecord(
+        game_id="g",
+        maze_id="m",
+        enemy_type=1,
+        total_enemy=4,
+        total_bullets=2,
+        difficulty="hard",
         total_path=199,
         total_corners=60,
         total_intersections=30,
         total_deadend=12,
         complexity=0.51,
-        maze_id="m",
     )
-    assert vectorize(params, features) == (1.0, 4.0, 2.0, 199.0, 60.0, 30.0, 12.0, 0.51)
+    assert game.vector() == (1.0, 4.0, 2.0, 199.0, 60.0, 30.0, 12.0, 0.51)
+    assert game.vector() == tuple(float(getattr(game, name)) for name in FEATURE_NAMES)
 
 
-def test_vectorize_rejects_foreign_features() -> None:
-    params = GameParams("g", "m", 0, 1, 1)
-    features = MazeFeatures(1, 0, 0, 0, 0.0, maze_id="other")
-    with pytest.raises(MazeFeatureMismatch):
-        vectorize(params, features)
+def _scaled(vectors: list[tuple[float, ...]]) -> list[tuple[float, ...]]:
+    return FeatureScaler.fit(vectors).transform(vectors)
 
 
 def test_normalize_maps_to_unit_interval() -> None:
     vectors = [(0.0, 10.0), (5.0, 20.0), (10.0, 30.0)]
-    assert normalize(vectors) == [(0.0, 0.0), (0.5, 0.5), (1.0, 1.0)]
+    assert _scaled(vectors) == [(0.0, 0.0), (0.5, 0.5), (1.0, 1.0)]
 
 
 def test_normalize_constant_dimension_becomes_zero() -> None:
     vectors = [(7.0, 1.0), (7.0, 2.0)]
-    assert normalize(vectors) == [(0.0, 0.0), (0.0, 1.0)]
+    assert _scaled(vectors) == [(0.0, 0.0), (0.0, 1.0)]
 
 
 def test_normalize_needs_two_vectors() -> None:
     with pytest.raises(InsufficientData):
-        normalize([(1.0, 2.0)])
-
-
-@settings(max_examples=50)
-@given(
-    st.lists(
-        st.tuples(
-            st.floats(-1e6, 1e6),
-            st.floats(-1e6, 1e6),
-            st.floats(-1e6, 1e6),
-        ),
-        min_size=2,
-        max_size=12,
-    )
-)
-def test_scaler_round_trip(vectors: list[tuple[float, float, float]]) -> None:
-    scaler = FeatureScaler.fit(vectors)
-    recovered = scaler.inverse(scaler.transform(vectors))
-    for original, back in zip(vectors, recovered):
-        for a, b in zip(original, back):
-            assert b == pytest.approx(a, abs=1e-9 + 1e-9 * abs(a))
+        _scaled([(1.0, 2.0)])
 
 
 @settings(max_examples=50)
@@ -330,7 +311,7 @@ def test_scaler_round_trip(vectors: list[tuple[float, float, float]]) -> None:
     )
 )
 def test_normalized_values_stay_in_unit_interval(vectors: list[tuple[float, float]]) -> None:
-    for vector in normalize(vectors):
+    for vector in _scaled(vectors):
         for x in vector:
             assert -1e-12 <= x <= 1.0 + 1e-12
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import logging
 import sqlite3
 
@@ -247,6 +248,44 @@ def test_load_detects_mapping_to_unknown_cluster(tmp_path) -> None:
     conn.close()
     with pytest.raises(IntegrityViolation):
         load_library(path)
+
+
+def test_load_detects_member_game_of_another_level(tmp_path) -> None:
+    library = _tiny_library()
+    path = str(tmp_path / "library.sqlite")
+    save_library(library, path)
+    conn = sqlite3.connect(path)
+    conn.execute("UPDATE games SET difficulty = 'hard' WHERE game_id = 'easy-g1'")
+    conn.commit()
+    conn.close()
+    with pytest.raises(IntegrityViolation, match="easy-g1"):
+        load_library(path)
+
+
+def test_load_detects_mapping_to_cluster_of_another_level(tmp_path) -> None:
+    library = _tiny_library()
+    path = str(tmp_path / "library.sqlite")
+    save_library(library, path)
+    conn = sqlite3.connect(path)
+    # the cluster and its one game agree, but compound 1's easy entry now
+    # points at a medium cluster
+    conn.execute("UPDATE clusters SET difficulty = 'medium' WHERE cluster_id = 'easy-000'")
+    conn.execute("UPDATE games SET difficulty = 'medium' WHERE game_id = 'easy-g1'")
+    conn.commit()
+    conn.close()
+    with pytest.raises(IntegrityViolation, match="mapping"):
+        load_library(path)
+
+
+@pytest.mark.parametrize("tamper", ["drop", "add"])
+def test_json_import_rejects_missing_or_extra_key(tamper) -> None:
+    payload = json.loads(export_json(_tiny_library()))
+    if tamper == "drop":
+        del payload["games"][0]["total_path"]
+    else:
+        payload["compounds"][0]["charge"] = 0
+    with pytest.raises(CorruptStore):
+        library_from_json(json.dumps(payload))
 
 
 def test_validate_rejects_game_in_two_clusters() -> None:
