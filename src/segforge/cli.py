@@ -264,9 +264,13 @@ def run_gen_space(config: PipelineConfig, out: Path) -> None:
 def run_categorize(config: PipelineConfig, out: Path) -> None:
     config_hash = config.config_hash()
     params = _row_parser(GameParams)
+    game = _row_parser(GameRecord)
 
     def categorized(row: dict[str, str]) -> list[str]:
         row["difficulty"] = classify_difficulty(params(row)).value
+        # rejects text that does not parse as its column's type here, not one
+        # stage later; games.csv keeps the text as it is
+        game(row)
         return [row[c] for c in GAME_COLUMNS]
 
     out_rows = _read_csv(out / "space.csv", config_hash, "gen-space", categorized)
@@ -412,6 +416,9 @@ def run_simulate(config: PipelineConfig, out: Path, recycle: bool = False) -> No
     library = load_library(str(out / "library.sqlite"), expected_config_hash=config_hash)
     _, decoded = _read_jsonl(out / "mazes.jsonl", config_hash, "gen-space", maze_from_record)
     mazes = {grid.maze_id: grid for grid, _ in decoded}
+    missing = next((g.maze_id for g in library.games if g.maze_id not in mazes), None)
+    if missing is not None:
+        raise MalformedArtifact(f"mazes.jsonl has no maze {missing!r}, which the library uses")
 
     recycle = recycle or config.sim_recycle
     session_lines: list[str] = []

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -147,6 +147,10 @@ class CFTree:
         self.dim: int | None = None
         self.root: _Node | None = None
         self.size = 0
+        # Smallest merged radius a leaf entry refused. The threshold decides
+        # nothing else, so a tree built at any t in [threshold, min_refused)
+        # is this same tree.
+        self.min_refused = math.inf
 
     def insert(self, point: tuple[float, ...], tag: str) -> None:
         """Route a tagged point to its closest leaf entry.
@@ -175,10 +179,12 @@ class CFTree:
         if node.is_leaf:
             if node.entries:
                 best = min(node.entries, key=lambda e: e.cf.distance_to_point(point))
-                if best.cf.radius_with_point(point) <= self.threshold:
+                radius = best.cf.radius_with_point(point)
+                if radius <= self.threshold:
                     best.cf.add_point(point)
                     best.members.append(tag)
                     return None
+                self.min_refused = min(self.min_refused, radius)
             node.entries.append(_Entry(ClusteringFeature.from_point(point), members=[tag]))
         else:
             best = min(node.entries, key=lambda e: e.cf.distance_to_point(point))
@@ -350,17 +356,17 @@ def refine_to_k(clusters: list[Cluster], k: int) -> list[Cluster]:
             i = int(np.argmin(nn_dist))
             d = nn_dist[i]
             ties = np.flatnonzero(nn_dist == d)
-            refreshed = False
-            for t in ties:
-                target = int(nn_idx[t])
-                if not alive[target] or nn_gen[t] != gen[target]:
+            targets = nn_idx[ties]
+            stale = ties[~alive[targets] | (nn_gen[ties] != gen[targets])]
+            if stale.size:
+                for t in stale:
                     recompute_row(int(t))
-                    refreshed = True
-            if refreshed:
                 continue
-            a, b = min(
-                (min(int(t), int(nn_idx[t])), max(int(t), int(nn_idx[t]))) for t in ties
-            )
+            # Lowest (min id, max id) pair among the tied rows.
+            low = np.minimum(ties, targets)
+            high = np.maximum(ties, targets)
+            a = int(low.min())
+            b = int(high[low == a].min())
             break
 
         cfs[a].add(cfs[b])
@@ -496,13 +502,21 @@ def search_threshold(
 
     Every candidate threshold gets a log entry. Candidates whose tree yields
     fewer than ``k`` leaf clusters are infeasible (no score). Score ties
-    keep the smaller threshold.
+    keep the smaller threshold. A threshold below the previous tree's
+    ``min_refused`` would rebuild that very tree, so its candidate takes the
+    previous leaf count and score without building, refining or scoring.
     """
     if not grid:
         raise ValueError("threshold grid must not be empty")
     best: ThresholdSearchResult | None = None
     log: list[ThresholdCandidate] = []
+    tree: CFTree | None = None
     for threshold in sorted(grid):
+        if tree is not None and threshold < tree.min_refused:
+            # The same tree again: same leaf count and score, and a score
+            # tie keeps the smaller threshold.
+            log.append(replace(log[-1], threshold=threshold))
+            continue
         tree = build_tree(points, tags, threshold=threshold, branching=branching)
         leaves = leaf_clusters(tree)
         if len(leaves) < k:

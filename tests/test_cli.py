@@ -203,6 +203,39 @@ def test_truncated_maze_store_fails_cleanly(workdir, tmp_path, capsys):
     assert f"mazes.jsonl line {last_line}" in err
 
 
+def test_maze_missing_from_store_fails_cleanly(workdir, tmp_path, capsys):
+    config, out = workdir
+    broken = tmp_path / "gap"
+    broken.mkdir()
+    shutil.copyfile(out / "library.sqlite", broken / "library.sqlite")
+    lines = (out / "mazes.jsonl").read_text().splitlines()
+    kept = [line for line in lines if json.loads(line).get("maze_id") != "m0007"]
+    assert len(kept) == len(lines) - 1
+    (broken / "mazes.jsonl").write_text("\n".join(kept) + "\n")
+    assert main(["simulate", "--config", str(config), "--out", str(broken)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "mazes.jsonl" in err and "'m0007'" in err
+    assert not (broken / "sessions.jsonl").exists()
+
+
+def test_space_with_bad_feature_text_fails_in_categorize(workdir, tmp_path, capsys):
+    config, out = workdir
+    broken = tmp_path / "blank"
+    broken.mkdir()
+    lines = (out / "space.csv").read_text().splitlines()
+    column = lines[1].split(",").index("complexity")
+    row = lines[4].split(",")
+    row[column] = ""
+    lines[4] = ",".join(row)
+    (broken / "space.csv").write_text("\n".join(lines) + "\n")
+    assert main(["categorize", "--config", str(config), "--out", str(broken)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "space.csv line 5" in err
+    assert not (broken / "games.csv").exists()
+
+
 def test_games_table_missing_a_column_fails_cleanly(workdir, tmp_path, capsys):
     config, out = workdir
     broken = tmp_path / "narrow"

@@ -7,9 +7,10 @@ import random
 from collections import defaultdict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from segforge import clustering
 from segforge.clustering import (
     CFTree,
     Cluster,
@@ -17,6 +18,8 @@ from segforge.clustering import (
     DimensionMismatch,
     NoFeasibleThreshold,
     SingleCluster,
+    ThresholdCandidate,
+    ThresholdSearchResult,
     TooFewClusters,
     build_tree,
     leaf_clusters,
@@ -61,11 +64,12 @@ def naive_refine(clusters: list[Cluster], k: int) -> list[Cluster]:
     }
     while len(state) > k:
         ids = sorted(state)
+        centroids = {cid: state[cid][0].centroid() for cid in ids}
         best = None
         for i, a in enumerate(ids):
-            ca = state[a][0].centroid()
+            ca = centroids[a]
             for b in ids[i + 1 :]:
-                d = sum((x - y) ** 2 for x, y in zip(ca, state[b][0].centroid()))
+                d = sum((x - y) ** 2 for x, y in zip(ca, centroids[b]))
                 key = (d, a, b)
                 if best is None or key < best:
                     best = key
@@ -76,6 +80,45 @@ def naive_refine(clusters: list[Cluster], k: int) -> list[Cluster]:
     return [
         Cluster(cluster_id=cid, cf=cf, members=tuple(members))
         for cid, (cf, members) in sorted(state.items())
+    ]
+
+
+def reference_search_threshold(
+    points: list[tuple[float, ...]],
+    tags: list[str],
+    *,
+    grid: tuple[float, ...],
+    k: int,
+    branching: int = 2,
+    sample_cap: int | None = 2000,
+    seed: int = 0,
+) -> ThresholdSearchResult:
+    """Threshold search that builds, refines and scores every candidate."""
+    best = None
+    log = []
+    for threshold in sorted(grid):
+        tree = build_tree(points, tags, threshold=threshold, branching=branching)
+        leaves = leaf_clusters(tree)
+        if len(leaves) < k:
+            log.append(ThresholdCandidate(threshold, len(leaves), None))
+            continue
+        clusters = refine_to_k(leaves, k)
+        label_of = {tag: c.cluster_id for c in clusters for tag in c.members}
+        labels = [label_of[tag] for tag in tags]
+        score = silhouette(points, labels, sample_cap=sample_cap, seed=seed)
+        log.append(ThresholdCandidate(threshold, len(leaves), score))
+        if best is None or score > best.score:
+            best = ThresholdSearchResult(threshold, clusters, score)
+    if best is None:
+        raise NoFeasibleThreshold("no feasible threshold")
+    best.log = log
+    return best
+
+
+def _leaf_sequence(tree: CFTree) -> list[tuple]:
+    return [
+        (tuple(e.members), e.cf.n, tuple(e.cf.ls), tuple(e.cf.ss))
+        for e in tree.leaf_entries()
     ]
 
 
@@ -165,6 +208,56 @@ def test_duplicate_point_always_absorbs() -> None:
         entries = tree.leaf_entries()
         assert len(entries) == 1
         assert entries[0].cf.n == 2
+
+
+def test_min_refused_is_the_smallest_refused_radius() -> None:
+    # {0, 1} has merged radius 0.5, {2, 2.5} 0.25; 2 is nearest to 1.
+    tree = build_tree([(0.0,), (1.0,), (2.0,), (2.5,)], ["a", "b", "c", "d"], threshold=0.1)
+    assert len(tree.leaf_entries()) == 4
+    assert tree.min_refused == pytest.approx(0.25)
+
+
+def test_min_refused_is_infinite_when_every_point_is_absorbed() -> None:
+    tree = build_tree([(1.0, 2.0)] * 5, list("abcde"), threshold=0.0)
+    assert len(tree.leaf_entries()) == 1
+    assert tree.min_refused == math.inf
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=-4, max_value=4),
+            st.integers(min_value=-4, max_value=4),
+        ),
+        min_size=2,
+        max_size=60,
+    ),
+    st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]),
+    st.sampled_from([0.0, 0.3, 0.7, 0.95]),
+    st.sampled_from([2, 3]),
+)
+def test_tree_is_unchanged_below_min_refused(
+    int_points: list[tuple[int, int]], threshold: float, fraction: float, branching: int
+) -> None:
+    points = [(float(x), float(y)) for x, y in int_points]
+    tags = [f"t{i:03d}" for i in range(len(points))]
+    tree = build_tree(points, tags, threshold=threshold, branching=branching)
+    limit = tree.min_refused
+    if limit == math.inf:
+        later = threshold + 10.0 * fraction
+    else:
+        later = threshold + fraction * (limit - threshold)
+    assume(later < limit)
+    again = build_tree(points, tags, threshold=later, branching=branching)
+    assert _leaf_sequence(again) == _leaf_sequence(tree)
+    assert again.min_refused == limit
+    if limit != math.inf:
+        # At min_refused itself the first refused point is absorbed instead.
+        changed = build_tree(points, tags, threshold=limit, branching=branching)
+        assert [e.members for e in changed.leaf_entries()] != [
+            e.members for e in tree.leaf_entries()
+        ]
 
 
 def test_insert_rejects_dimension_mismatch() -> None:
@@ -318,6 +411,19 @@ def test_refine_matches_naive_on_random_floats() -> None:
         assert [sorted(c.members) for c in fast] == [sorted(c.members) for c in slow]
 
 
+def test_refine_matches_naive_on_many_duplicate_singletons() -> None:
+    # About 300 singletons on 40 distinct points: hundreds of zero-distance
+    # ties are open at once, and most cached neighbours go stale.
+    rng = random.Random(31)
+    distinct = rng.sample([(float(x), float(y)) for x in range(7) for y in range(7)], 40)
+    clusters = [_singleton(i, rng.choice(distinct)) for i in range(300)]
+    fast = refine_to_k(clusters, 9)
+    slow = naive_refine(clusters, 9)
+    assert [c.cluster_id for c in fast] == [c.cluster_id for c in slow]
+    assert [sorted(c.members) for c in fast] == [sorted(c.members) for c in slow]
+    assert [c.cf.n for c in fast] == [c.cf.n for c in slow]
+
+
 # ===== Silhouette =====
 
 
@@ -457,6 +563,80 @@ def test_search_threshold_singletons_score_without_error() -> None:
     result = search_threshold(points, tags, grid=(0.005,), k=4, seed=0)
     assert len(result.clusters) == 4
     assert result.score == pytest.approx(1.0)
+
+
+def _assert_same_search(got: ThresholdSearchResult, want: ThresholdSearchResult) -> None:
+    assert got.log == want.log
+    assert got.best_threshold == want.best_threshold
+    assert got.score == want.score
+    assert [c.cluster_id for c in got.clusters] == [c.cluster_id for c in want.clusters]
+    assert [c.members for c in got.clusters] == [c.members for c in want.clusters]
+    assert [(c.cf.n, c.cf.ls, c.cf.ss) for c in got.clusters] == [
+        (c.cf.n, c.cf.ls, c.cf.ss) for c in want.clusters
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=5),
+            st.integers(min_value=0, max_value=5),
+        ),
+        min_size=3,
+        max_size=60,
+    ),
+    st.sampled_from([0.0, 0.05, 0.2, 0.5]),
+    st.lists(
+        st.sampled_from([0.0, 0.5, 0.99, 1.0, 1.5, 3.0]), min_size=1, max_size=5
+    ),
+    st.integers(min_value=2, max_value=6),
+    st.sampled_from([2, 3]),
+)
+def test_search_threshold_matches_building_every_tree(
+    int_points: list[tuple[int, int]],
+    base: float,
+    fractions: list[float],
+    k: int,
+    branching: int,
+) -> None:
+    # Duplicate-heavy points; the grid steps relative to the base tree's
+    # min_refused land below it, on it and above it.
+    points = [(x / 4, y / 4) for x, y in int_points]
+    tags = [f"g{i:03d}" for i in range(len(points))]
+    limit = build_tree(points, tags, threshold=base, branching=branching).min_refused
+    span = 1.0 if limit == math.inf else limit - base
+    grid = (base,) + tuple(base + f * span for f in fractions)
+    kwargs = dict(grid=grid, k=k, branching=branching, sample_cap=20, seed=3)
+    try:
+        want = reference_search_threshold(points, tags, **kwargs)
+    except NoFeasibleThreshold:
+        with pytest.raises(NoFeasibleThreshold):
+            search_threshold(points, tags, **kwargs)
+        return
+    _assert_same_search(search_threshold(points, tags, **kwargs), want)
+
+
+def test_search_threshold_builds_each_distinct_tree_once(monkeypatch) -> None:
+    calls: dict[str, int] = defaultdict(int)
+    for name in ("build_tree", "leaf_clusters", "refine_to_k", "silhouette"):
+        original = getattr(clustering, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(clustering, name, counted)
+    # Each pair has merged radius 0.5: thresholds below it keep 5 leaves,
+    # from 0.5 on the pairs merge into 3 leaves and 20 stays apart.
+    points = [(0.0,), (1.0,), (10.0,), (11.0,), (20.0,)]
+    tags = ["a", "b", "c", "d", "e"]
+    grid = (0.1, 0.2, 0.4, 0.5, 0.6)
+    result = search_threshold(points, tags, grid=grid, k=2, seed=0)
+    assert dict(calls) == {"build_tree": 2, "leaf_clusters": 2, "refine_to_k": 2, "silhouette": 2}
+    assert [c.leaf_count for c in result.log] == [5, 5, 5, 3, 3]
+    monkeypatch.undo()
+    _assert_same_search(result, reference_search_threshold(points, tags, grid=grid, k=2))
 
 
 # ===== Summaries =====
