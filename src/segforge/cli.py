@@ -17,13 +17,14 @@ import os
 import sys
 import tempfile
 from dataclasses import fields
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from . import __version__
-from .clustering import ClusterSummary, search_threshold, summarize
+from .clustering import ClusterSummary, ThresholdCandidate, search_threshold, summarize
 from .config import ConfigInvalid, PipelineConfig, default_config_text, load_config
 from .contentspace import (
+    FEATURE_NAMES,
     LEVELS,
     FeatureScaler,
     GameParams,
@@ -60,6 +61,17 @@ logger = logging.getLogger(__name__)
 STAGES = ("annotate", "gen-space", "categorize", "cluster", "map", "simulate", "analyze")
 GAME_COLUMNS = tuple(f.name for f in fields(GameRecord))
 SPACE_COLUMNS = tuple(c for c in GAME_COLUMNS if c != "difficulty")
+# clusters.csv: the ClusterSummary fields, the centroid spread over one
+# column per feature and the members left to membership.csv
+CENTROID_COLUMNS = tuple(f"c{i}" for i in range(len(FEATURE_NAMES)))
+_SUMMARY_SCALARS = [
+    f for f in fields(ClusterSummary) if f.name not in ("centroid", "member_game_ids")
+]
+CLUSTER_COLUMNS = tuple(f.name for f in _SUMMARY_SCALARS) + CENTROID_COLUMNS
+_summary_values = attrgetter(*(f.name for f in _SUMMARY_SCALARS))
+_CANDIDATE_COLUMNS = tuple(f.name for f in fields(ThresholdCandidate))
+_candidate_values = attrgetter(*_CANDIDATE_COLUMNS)
+THRESHOLD_LOG_COLUMNS = ("difficulty",) + _CANDIDATE_COLUMNS + ("selected",)
 
 _PARSERS = {"str": str, "int": int, "float": float}
 
@@ -178,6 +190,8 @@ def _read_jsonl(
                 if not line:
                     continue
                 data = json.loads(line)
+                if not isinstance(data, dict):
+                    raise TypeError(f"a JSON {type(data).__name__}, not an object")
                 if number == 1:
                     meta = data
                 else:
@@ -300,22 +314,13 @@ def run_cluster(config: PipelineConfig, out: Path) -> None:
             sample_cap=config.cluster_sample_cap,
             seed=config.cluster_seed,
         )
+        # csv writes a float as its repr and None as an empty field
         for candidate in result.log:
-            log_rows.append(
-                [
-                    level,
-                    repr(candidate.threshold),
-                    candidate.leaf_count,
-                    "" if candidate.silhouette is None else repr(candidate.silhouette),
-                    "true" if candidate.threshold == result.best_threshold else "false",
-                ]
-            )
+            selected = "true" if candidate.threshold == result.best_threshold else "false"
+            log_rows.append([level, *_candidate_values(candidate), selected])
         for index, cluster in enumerate(result.clusters):
             summary = summarize(cluster, raw, level, f"{level}-{index:03d}")
-            cluster_rows.append(
-                [summary.cluster_id, level, summary.n, repr(summary.s)]
-                + [repr(c) for c in summary.centroid]
-            )
+            cluster_rows.append([*_summary_values(summary), *summary.centroid])
             member_rows.extend(
                 [summary.cluster_id, game_id] for game_id in sorted(summary.member_game_ids)
             )
@@ -327,21 +332,14 @@ def run_cluster(config: PipelineConfig, out: Path) -> None:
             len(result.clusters),
         )
 
-    cluster_header = ("cluster_id", "difficulty", "n", "s") + tuple(
-        f"c{i}" for i in range(8)
-    )
-    _atomic_write(out / "clusters.csv", _csv_text(config_hash, cluster_header, cluster_rows))
+    _atomic_write(out / "clusters.csv", _csv_text(config_hash, CLUSTER_COLUMNS, cluster_rows))
     _atomic_write(
         out / "membership.csv",
         _csv_text(config_hash, ("cluster_id", "game_id"), member_rows),
     )
     _atomic_write(
         out / "threshold_log.csv",
-        _csv_text(
-            config_hash,
-            ("difficulty", "threshold", "leaf_count", "silhouette", "selected"),
-            log_rows,
-        ),
+        _csv_text(config_hash, THRESHOLD_LOG_COLUMNS, log_rows),
     )
 
 
@@ -365,13 +363,12 @@ def _load_summaries(out: Path, config_hash: str) -> list[ClusterSummary]:
     for cluster_id, game_id in _read_csv(out / "membership.csv", config_hash, "cluster", pairs):
         members.setdefault(cluster_id, []).append(game_id)
 
+    scalars = [(f.name, _PARSERS[f.type]) for f in _SUMMARY_SCALARS]
+
     def summary(row: dict[str, str]) -> ClusterSummary:
         return ClusterSummary(
-            cluster_id=row["cluster_id"],
-            difficulty=row["difficulty"],
-            n=int(row["n"]),
-            s=float(row["s"]),
-            centroid=tuple(float(row[f"c{i}"]) for i in range(8)),
+            **{name: parse(row[name]) for name, parse in scalars},
+            centroid=tuple(float(row[c]) for c in CENTROID_COLUMNS),
             member_game_ids=tuple(sorted(members.get(row["cluster_id"], ()))),
         )
 
@@ -425,19 +422,10 @@ def run_simulate(config: PipelineConfig, out: Path, recycle: bool = False) -> No
     event_lines: list[str] = []
 
     def log_events(player_id: str, game_id: str, events) -> None:
-        for event in events:
-            event_lines.append(
-                json.dumps(
-                    {
-                        "player_id": player_id,
-                        "game_id": game_id,
-                        "tick": event.tick,
-                        "kind": event.kind,
-                        "detail": event.detail,
-                    },
-                    sort_keys=False,
-                )
-            )
+        event_lines.extend(
+            json.dumps({"player_id": player_id, "game_id": game_id, **vars(event)})
+            for event in events
+        )
 
     victories = 0
     for p in range(config.sim_players):
@@ -508,7 +496,13 @@ def run_simulate(config: PipelineConfig, out: Path, recycle: bool = False) -> No
 def run_analyze(config: PipelineConfig, out: Path, sessions_path: str | None = None) -> None:
     config_hash = config.config_hash()
     path = Path(sessions_path) if sessions_path else out / "sessions.jsonl"
-    _, records = _read_jsonl(path, config_hash, "simulate")
+    surveyed = itemgetter("fun", "pre_exam", "post_exam")
+
+    def session(record: dict) -> dict:
+        surveyed(record)  # the fields analyze_sessions reads
+        return record
+
+    _, records = _read_jsonl(path, config_hash, "simulate", session)
     analysis = analyze_sessions(
         records,
         ci_level=config.stats_ci_level,

@@ -146,7 +146,6 @@ class CFTree:
         self.branching = branching
         self.dim: int | None = None
         self.root: _Node | None = None
-        self.size = 0
         # Smallest merged radius a leaf entry refused. The threshold decides
         # nothing else, so a tree built at any t in [threshold, min_refused)
         # is this same tree.
@@ -171,7 +170,6 @@ class CFTree:
             new_root = _Node(is_leaf=False)
             new_root.entries.extend(split)
             self.root = new_root
-        self.size += 1
 
     def _insert(
         self, node: _Node, point: tuple[float, ...], tag: str

@@ -105,23 +105,15 @@ class SessionRecord:
     post_exam: int = 0
 
     def to_record(self) -> dict:
-        return {
-            "player_id": self.player_id,
-            "compound_id": self.compound_id,
-            "difficulty": self.difficulty,
-            "game_id": self.game_id,
-            "policy": self.policy,
-            "seed": self.seed,
-            "positives": list(self.tally.positives),
-            "negatives": list(self.tally.negatives),
-            "score": self.score,
-            "outcome": self.outcome,
-            "duration": self.duration,
-            "recycled": self.recycled,
-            "fun": self.fun,
-            "pre_exam": self.pre_exam,
-            "post_exam": self.post_exam,
-        }
+        """The sessions.jsonl record: the fields in declaration order, with
+        ``tally`` spread in place into its lists and ``events`` left out."""
+        record = {}
+        for name, value in vars(self).items():
+            if name == "tally":
+                record.update((key, list(counts)) for key, counts in vars(value).items())
+            elif name != "events":
+                record[name] = value
+        return record
 
 
 @dataclass
@@ -133,7 +125,6 @@ class PlayerProfile:
     next_material_index: int = 1
     played_game_ids: set[str] = field(default_factory=set)
     attempted_materials: set[int] = field(default_factory=set)
-    history: list[SessionRecord] = field(default_factory=list)
 
 
 # ===== Scoring and assessment =====
@@ -315,28 +306,17 @@ class _Arena:
                 hits.append((abs(cell[0] - self.avatar[0]) + abs(cell[1] - self.avatar[1]), cell))
         return sorted(hits)
 
-    def distance_field(self, source: tuple[int, int], blocked: set[tuple[int, int]] | None = None):
-        """BFS distances over path cells from ``source``."""
+    def distance_field(
+        self, sources: list[tuple[int, int]], blocked: set[tuple[int, int]] | None = None
+    ):
+        """BFS distances over path cells to the nearest of ``sources``."""
         blocked = blocked or set()
-        dist = {source: 0}
-        queue = deque([source])
+        dist = dict.fromkeys(sources, 0)
+        queue = deque(dist)
         while queue:
             cell = queue.popleft()
             for neighbor in self.neighbors(cell):
                 if neighbor in dist or neighbor in blocked:
-                    continue
-                dist[neighbor] = dist[cell] + 1
-                queue.append(neighbor)
-        return dist
-
-    def enemy_distance_field(self):
-        """BFS distances to the nearest enemy (multi-source)."""
-        dist = {cell: 0 for cell in self.enemies}
-        queue = deque(self.enemies)
-        while queue:
-            cell = queue.popleft()
-            for neighbor in self.neighbors(cell):
-                if neighbor in dist:
                     continue
                 dist[neighbor] = dist[cell] + 1
                 queue.append(neighbor)
@@ -424,7 +404,7 @@ def _route_field(arena: _Arena, target: tuple[int, int]):
         set(arena.enemies),
         set(),
     ):
-        field = arena.distance_field(target, blocked=blocked - {target, arena.avatar})
+        field = arena.distance_field([target], blocked=blocked - {target, arena.avatar})
         if arena.avatar in field:
             return field
     return None
@@ -432,7 +412,7 @@ def _route_field(arena: _Arena, target: tuple[int, int]):
 
 def _flee_step(arena: _Arena) -> None:
     """Back away when an enemy is within two cells and no route exists."""
-    enemy_field = arena.enemy_distance_field()
+    enemy_field = arena.distance_field(arena.enemies)
     gap = enemy_field.get(arena.avatar, TIME_LIMIT)
     if gap > 2:
         return
@@ -461,7 +441,7 @@ def _greedy_turn(arena: _Arena, tally: dict, events: list[SimEvent], tick: int) 
             set(arena.enemies),
             set(),
         ):
-            field = arena.distance_field(arena.avatar, blocked=hazards)
+            field = arena.distance_field([arena.avatar], blocked=hazards)
             reachable = sorted((field[a], a) for a in arena.good_atoms if a in field)
             if reachable:
                 target = reachable[0][1]
@@ -497,7 +477,7 @@ def _enemy_turn(arena: _Arena, tally: dict, events: list[SimEvent], tick: int) -
     moved: list[tuple[int, int]] = []
     chase_field = None
     if arena.enemy_type == 1:
-        chase_field = arena.distance_field(arena.avatar)
+        chase_field = arena.distance_field([arena.avatar])
     for cell in arena.enemies:
         if arena.enemy_type == 1 and chase_field is not None and cell in chase_field:
             nxt = min(
@@ -662,7 +642,6 @@ def run_session(
     )
     profile.attempted_materials.add(material)
     profile.played_game_ids.add(game_id)
-    profile.history.append(record)
     if result.victory:
         profile.next_material_index += 1
     return record

@@ -34,14 +34,6 @@ _ELEMENT_FIELD = re.compile(r"^\s*(\d+)?\s*([A-Z][a-z]?)\s*$")
 
 
 @dataclass(frozen=True)
-class AtomRecord:
-    """One periodic table entry."""
-
-    symbol: str
-    atomic_number: int
-
-
-@dataclass(frozen=True)
 class ElementCount:
     """An element symbol with how many atoms of it a compound contains."""
 

@@ -148,14 +148,8 @@ class ContentLibrary:
     def compound_count(self) -> int:
         return len(self.compounds)
 
-    def compound(self, compound_id: int) -> CompoundAnnotation:
-        return self._compounds_by_id[compound_id]
-
     def game(self, game_id: str) -> GameRecord:
         return self._games_by_id[game_id]
-
-    def cluster(self, cluster_id: str) -> ClusterSummary:
-        return self._clusters_by_id[cluster_id]
 
     def cluster_for(self, compound_id: int, difficulty: str) -> ClusterSummary:
         key = (compound_id, difficulty)
@@ -189,6 +183,9 @@ def validate_library(library: ContentLibrary) -> None:
                 raise IntegrityViolation(
                     f"game {game_id!r} belongs to clusters {owner!r} and {cluster.cluster_id!r}"
                 )
+    for game in library.games:
+        if game.game_id not in seen_game_owner:
+            raise IntegrityViolation(f"game {game.game_id!r} belongs to no cluster")
     mapped_clusters: set[str] = set()
     for entry in library.mapping:
         if entry.compound_id not in library._compounds_by_id:
@@ -204,21 +201,37 @@ def validate_library(library: ContentLibrary) -> None:
         if entry.cluster_id in mapped_clusters:
             raise IntegrityViolation(f"cluster {entry.cluster_id!r} mapped twice")
         mapped_clusters.add(entry.cluster_id)
+    for compound_id in library._compounds_by_id:
+        for level in LEVELS:
+            if (compound_id, level) not in library._mapping_index:
+                raise IntegrityViolation(f"compound {compound_id} has no {level!r} cluster")
 
 
 # ===== Relational persistence =====
 
-_SQL_TYPES = {"str": "TEXT", "int": "INTEGER", "int | None": "INTEGER", "float": "REAL"}
+_JSON_LIST = "tuple[float, ...]"  # stored as its JSON list
+_SQL_TYPES = {
+    "str": "TEXT",
+    "int": "INTEGER",
+    "int | None": "INTEGER",
+    "float": "REAL",
+    _JSON_LIST: "TEXT",
+}
+
+# A cluster's members are rows of the membership table, not a column.
+_CLUSTER_COLUMNS = tuple(f for f in fields(ClusterSummary) if f.name != "member_game_ids")
 
 
-def _create_table(name: str, columns, constraints: dict[str, str]) -> str:
+def _create_table(name: str, columns, constraints: dict[str, str], *table_constraints) -> str:
     """CREATE TABLE text, one ``name TYPE constraint`` line per dataclass
-    field; a column missing from ``constraints`` is NOT NULL."""
-    lines = ",\n".join(
+    field, then the table constraints; a column missing from ``constraints``
+    is NOT NULL."""
+    lines = [
         f"    {c.name} {_SQL_TYPES[c.type]} {constraints.get(c.name, 'NOT NULL')}"
         for c in columns
-    )
-    return f"CREATE TABLE {name} (\n{lines}\n);\n"
+    ]
+    lines += [f"    {constraint}" for constraint in table_constraints]
+    return f"CREATE TABLE {name} (\n" + ",\n".join(lines) + "\n);\n"
 
 
 _SCHEMA = (
@@ -229,25 +242,23 @@ _SCHEMA = (
         {"compound_id": "PRIMARY KEY", "formula": "NOT NULL UNIQUE"},
     )
     + _create_table("games", fields(GameRecord), {"game_id": "PRIMARY KEY"})
-    + """CREATE TABLE clusters (
-    cluster_id TEXT PRIMARY KEY,
-    difficulty TEXT NOT NULL,
-    n INTEGER NOT NULL,
-    s REAL NOT NULL,
-    centroid TEXT NOT NULL
-);
-CREATE TABLE membership (
+    + _create_table("clusters", _CLUSTER_COLUMNS, {"cluster_id": "PRIMARY KEY"})
+    + """CREATE TABLE membership (
     cluster_id TEXT NOT NULL REFERENCES clusters(cluster_id),
     game_id TEXT NOT NULL UNIQUE REFERENCES games(game_id),
     UNIQUE(cluster_id, game_id)
 );
-CREATE TABLE mapping (
-    compound_id INTEGER NOT NULL REFERENCES compounds(compound_id),
-    difficulty TEXT NOT NULL,
-    cluster_id TEXT NOT NULL UNIQUE REFERENCES clusters(cluster_id),
-    UNIQUE(compound_id, difficulty)
-);
-CREATE TABLE metadata (
+"""
+    + _create_table(
+        "mapping",
+        fields(MappingEntry),
+        {
+            "compound_id": "NOT NULL REFERENCES compounds(compound_id)",
+            "cluster_id": "NOT NULL UNIQUE REFERENCES clusters(cluster_id)",
+        },
+        "UNIQUE(compound_id, difficulty)",
+    )
+    + """CREATE TABLE metadata (
     key TEXT PRIMARY KEY,
     value TEXT NOT NULL
 );
@@ -255,20 +266,41 @@ CREATE TABLE metadata (
 )
 
 
-def _insert(conn: sqlite3.Connection, table: str, cls: type, records: list) -> None:
-    """Insert dataclass records, one column per field."""
-    names = [f.name for f in fields(cls)]
+def _json_columns(columns) -> set[int]:
+    return {i for i, c in enumerate(columns) if c.type == _JSON_LIST}
+
+
+def _insert(conn: sqlite3.Connection, table: str, columns, records: list) -> None:
+    """Insert dataclass records, one column per field in ``columns``; a
+    tuple is stored as its JSON list."""
+    names = [c.name for c in columns]
+    rows = map(attrgetter(*names), records)
+    if json_at := _json_columns(columns):
+        rows = (
+            [json.dumps(v) if i in json_at else v for i, v in enumerate(row)] for row in rows
+        )
     conn.executemany(
         f"INSERT INTO {table} ({', '.join(names)}) VALUES ({','.join('?' * len(names))})",
-        map(attrgetter(*names), records),
+        rows,
     )
+
+
+def _rows(conn: sqlite3.Connection, table: str, columns, order_by: str):
+    """Every row of ``table``, its values in ``columns`` order; a JSON list
+    comes back as a tuple."""
+    names = ", ".join(c.name for c in columns)
+    rows = conn.execute(f"SELECT {names} FROM {table} ORDER BY {order_by}")
+    if json_at := _json_columns(columns):
+        rows = (
+            [tuple(json.loads(v)) if i in json_at else v for i, v in enumerate(row)]
+            for row in rows
+        )
+    return rows
 
 
 def _select(conn: sqlite3.Connection, cls: type, table: str, order_by: str) -> list:
     """Every row of ``table`` as a ``cls`` record, built positionally."""
-    names = ", ".join(f.name for f in fields(cls))
-    rows = conn.execute(f"SELECT {names} FROM {table} ORDER BY {order_by}")
-    return [cls(*row) for row in rows]
+    return [cls(*row) for row in _rows(conn, table, fields(cls), order_by)]
 
 
 def save_library(library: ContentLibrary, path: str) -> None:
@@ -286,15 +318,9 @@ def save_library(library: ContentLibrary, path: str) -> None:
         try:
             conn.executescript(_SCHEMA)
             # ContentLibrary keeps every list in canonical order
-            _insert(conn, "compounds", CompoundAnnotation, library.compounds)
-            _insert(conn, "games", GameRecord, library.games)
-            conn.executemany(
-                "INSERT INTO clusters VALUES (?,?,?,?,?)",
-                [
-                    (c.cluster_id, c.difficulty, c.n, c.s, json.dumps(list(c.centroid)))
-                    for c in library.clusters
-                ],
-            )
+            _insert(conn, "compounds", fields(CompoundAnnotation), library.compounds)
+            _insert(conn, "games", fields(GameRecord), library.games)
+            _insert(conn, "clusters", _CLUSTER_COLUMNS, library.clusters)
             conn.executemany(
                 "INSERT INTO membership VALUES (?,?)",
                 [
@@ -303,7 +329,7 @@ def save_library(library: ContentLibrary, path: str) -> None:
                     for game_id in c.member_game_ids
                 ],
             )
-            _insert(conn, "mapping", MappingEntry, library.mapping)
+            _insert(conn, "mapping", fields(MappingEntry), library.mapping)
             conn.executemany(
                 "INSERT INTO metadata VALUES (?,?)",
                 sorted(library.metadata.items()),
@@ -338,18 +364,8 @@ def load_library(path: str, expected_config_hash: str | None = None) -> ContentL
             ):
                 members.setdefault(cluster_id, []).append(game_id)
             clusters = [
-                ClusterSummary(
-                    cluster_id=row[0],
-                    difficulty=row[1],
-                    n=row[2],
-                    s=row[3],
-                    centroid=tuple(json.loads(row[4])),
-                    member_game_ids=tuple(members.get(row[0], ())),
-                )
-                for row in conn.execute(
-                    "SELECT cluster_id, difficulty, n, s, centroid FROM clusters"
-                    " ORDER BY cluster_id"
-                )
+                ClusterSummary(*row, member_game_ids=tuple(members.get(row[0], ())))
+                for row in _rows(conn, "clusters", _CLUSTER_COLUMNS, "cluster_id")
             ]
             mapping = _select(conn, MappingEntry, "mapping", "compound_id, difficulty")
             metadata = dict(conn.execute("SELECT key, value FROM metadata ORDER BY key"))

@@ -12,7 +12,9 @@ from dataclasses import fields
 import pytest
 
 from segforge.cli import main
-from segforge.clustering import ClusterSummary
+from segforge.clustering import ClusterSummary, ThresholdCandidate
+from segforge.contentspace import FEATURE_NAMES
+from segforge.engine import ActionTally, SessionRecord, SimEvent
 from segforge.knowledge import CompoundAnnotation
 from segforge.mapping import GameRecord, MappingEntry
 
@@ -170,11 +172,23 @@ def test_record_fields_are_the_artifact_schema(workdir):
     def names(cls):
         return {f.name for f in fields(cls)}
 
+    def header(name):
+        return (out / name).read_text().splitlines()[1].split(",")
+
+    def keys(name):
+        lines = (out / name).read_text().splitlines()[1:]
+        return {key for line in lines for key in json.loads(line)}
+
     conn = sqlite3.connect(out / "library.sqlite")
     try:
-        for table, cls in (("games", GameRecord), ("compounds", CompoundAnnotation)):
-            columns = {row[1] for row in conn.execute(f"PRAGMA table_info({table})")}
-            assert columns == names(cls), table
+        for table, columns in (
+            ("games", names(GameRecord)),
+            ("compounds", names(CompoundAnnotation)),
+            ("clusters", names(ClusterSummary) - {"member_game_ids"}),
+            ("mapping", names(MappingEntry)),
+        ):
+            found = {row[1] for row in conn.execute(f"PRAGMA table_info({table})")}
+            assert found == columns, table
     finally:
         conn.close()
     payload = json.loads((out / "library.json").read_text())
@@ -185,8 +199,21 @@ def test_record_fields_are_the_artifact_schema(workdir):
         ("mapping", MappingEntry),
     ):
         assert {key for record in payload[section] for key in record} == names(cls), section
-    header = (out / "games.csv").read_text().splitlines()[1].split(",")
-    assert header == [f.name for f in fields(GameRecord)]
+    assert header("games.csv") == [f.name for f in fields(GameRecord)]
+    # the centroid spreads over one column per feature; members are in
+    # membership.csv
+    scalars = [
+        f.name for f in fields(ClusterSummary) if f.name not in ("centroid", "member_game_ids")
+    ]
+    centroid = [f"c{i}" for i in range(len(FEATURE_NAMES))]
+    assert header("clusters.csv") == scalars + centroid
+    assert header("threshold_log.csv") == (
+        ["difficulty"] + [f.name for f in fields(ThresholdCandidate)] + ["selected"]
+    )
+    # tally is spread into its count lists; events go to events.jsonl
+    session_keys = names(SessionRecord) - {"tally", "events"} | names(ActionTally)
+    assert keys("sessions.jsonl") == session_keys
+    assert keys("events.jsonl") == {"player_id", "game_id"} | names(SimEvent)
 
 
 def test_truncated_maze_store_fails_cleanly(workdir, tmp_path, capsys):
@@ -250,6 +277,26 @@ def test_games_table_missing_a_column_fails_cleanly(workdir, tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1
     assert "games.csv line 3" in err and "total_path" in err
+
+
+@pytest.mark.parametrize(
+    "lines, bad_line",
+    [
+        (["[1]", '{"fun": true, "pre_exam": 0, "post_exam": 1}'], 1),  # meta not an object
+        (['{"artifact": "sessions"}', "[1, 2]"], 2),  # record not an object
+        (['{"artifact": "sessions"}', '{"fun": true, "post_exam": 1}'], 2),  # no pre_exam
+    ],
+    ids=["meta-not-object", "record-not-object", "record-without-pre-exam"],
+)
+def test_malformed_sessions_fail_cleanly(workdir, tmp_path, capsys, lines, bad_line):
+    config, _ = workdir
+    sessions = tmp_path / "sessions.jsonl"
+    sessions.write_text("\n".join(lines) + "\n")
+    argv = ["analyze", "--config", str(config), "--out", str(tmp_path / "o")]
+    assert main(argv + ["--sessions", str(sessions)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert f"sessions.jsonl line {bad_line}" in err
 
 
 def test_early_stages_are_deterministic(workdir, tmp_path):

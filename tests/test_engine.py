@@ -381,7 +381,6 @@ def test_session_serves_from_mapped_cluster(world):
     assert record.game_id in profile.played_game_ids
     assert record.difficulty == "easy"
     assert record.compound_id == 1
-    assert profile.history == [record]
 
 
 def test_session_record_serializes(world):

@@ -277,6 +277,34 @@ def test_load_detects_mapping_to_cluster_of_another_level(tmp_path) -> None:
         load_library(path)
 
 
+def test_load_detects_compound_without_a_level(tmp_path) -> None:
+    library = _tiny_library()
+    path = str(tmp_path / "library.sqlite")
+    save_library(library, path)
+    conn = sqlite3.connect(path)
+    conn.execute("DELETE FROM mapping WHERE compound_id = 2 AND difficulty = 'hard'")
+    conn.commit()
+    conn.close()
+    with pytest.raises(IntegrityViolation, match="compound 2 has no 'hard' cluster"):
+        load_library(path)
+
+
+def test_load_detects_game_in_no_cluster(tmp_path) -> None:
+    library = _tiny_library()
+    path = str(tmp_path / "library.sqlite")
+    save_library(library, path)
+    conn = sqlite3.connect(path)
+    # a copy of easy-g1 under a new id, in no membership row
+    conn.executescript(
+        "CREATE TEMP TABLE copy AS SELECT * FROM games WHERE game_id = 'easy-g1';"
+        "UPDATE copy SET game_id = 'easy-g9';"
+        "INSERT INTO games SELECT * FROM copy;"
+    )
+    conn.close()
+    with pytest.raises(IntegrityViolation, match="'easy-g9' belongs to no cluster"):
+        load_library(path)
+
+
 @pytest.mark.parametrize("tamper", ["drop", "add"])
 def test_json_import_rejects_missing_or_extra_key(tamper) -> None:
     payload = json.loads(export_json(_tiny_library()))
