@@ -1,0 +1,57 @@
+"""Golden digests: the bytes of every artifact of a reduced pipeline run.
+
+``segforge pipeline --export-plots`` runs at ``maze.count = 54`` with every
+other setting at its default (greedy bots, 10 players x 25 sessions). Each
+file of the run directory must hash to the digest recorded here. A change
+that alters an artifact's bytes must update its digest and argue for the
+change in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from segforge.cli import main
+
+GOLDEN_CONFIG = "maze.count = 54\n"
+
+GOLDEN_SHA256 = {
+    "annotations.jsonl": "3f6ef02eb335e7d25ac173ecc396e85d0a2b48ef13c3c2bc5300ed6b100b7783",
+    "clusters.csv": "2072aec46480cca287e79e54831dc0b9b3ca95ce49a682eed9f3409659b1e422",
+    "events.jsonl": "61dd8f8459d52b82dd1a424e8d220fe1d67b35ca649823a76ea3fbaf61e4aed6",
+    "games.csv": "e1fe48953f7798faca380ddc4051122da730b25f46be05ad65510ddcf44a60c5",
+    "library.json": "2b9bf9d3e8b25e4eeac22bc11b817c298d86bbe3abadeee0694bfcded8489201",
+    "library.sqlite": "74773162d4f27d3872538e6bdc76d8071a0ee0349a216dbf669b788a9d96b596",
+    "mapping_N.csv": "bc53c84df2a4fca93e525cf71648c0a6f9433d6e29f5b005497e453d800e0911",
+    "mapping_S.csv": "d19f7d61013e619ed972a9f6683985608cd94d6d6d2d23c1ae79cb77050cc6bd",
+    "mazes.jsonl": "e3afa478d0b984f8c72368615b46e3174a0e2703483e576d0eca5700d3d32c74",
+    "membership.csv": "578b432ef8ef9a2693f531858e899dd41bbcaee0b4f2caa257c40fa0865e1b7c",
+    "report.txt": "680527d74836531533c9c0afc8bc957eca61b0f5f354cf9113bbc795523b3a54",
+    "report_numbers.csv": "3a55ff64bfe555e075b5f9a1e6116098843c4774034f215b2063423c9a4c611a",
+    "sessions.jsonl": "52217fcc1c68d86d3f232350009c78dd4af4861aeac6440fead2e1baf374c619",
+    "space.csv": "86e1448493804a2465c0f2d4c3a1c685319480953cb2336dea192850793a3a2b",
+    "threshold_log.csv": "a79571b53afc9d6434e131cd02a78fd2ec3218817a17057faaa20403030c14cc",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    config = root / "golden.conf"
+    config.write_text(GOLDEN_CONFIG)
+    out = root / "out"
+    argv = ["pipeline", "--export-plots", "--config", str(config), "--out", str(out)]
+    assert main(argv) == 0
+    return out
+
+
+def test_run_directory_holds_exactly_the_golden_files(golden_run):
+    assert sorted(p.name for p in golden_run.iterdir()) == sorted(GOLDEN_SHA256)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+def test_artifact_matches_golden_digest(golden_run, name):
+    digest = hashlib.sha256((golden_run / name).read_bytes()).hexdigest()
+    assert digest == GOLDEN_SHA256[name], name
