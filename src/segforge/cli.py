@@ -38,7 +38,9 @@ from .contentspace import (
 from .engine import (
     CurriculumComplete,
     EmptyPool,
+    ImperfectMaze,
     PlayerProfile,
+    maze_tree,
     practice_session,
     run_session,
 )
@@ -175,10 +177,11 @@ def _jsonl_text(meta: dict, lines: list[str]) -> str:
 
 
 def _read_jsonl(
-    path: Path, config_hash: str, producing_stage: str, convert=None
+    path: Path, config_hash: str, producing_stage: str, artifact: str, convert=None
 ) -> tuple[dict, list]:
     """The meta line and the records of a stage JSONL file, ``convert``
-    applied to each record; a line that does not parse names its number."""
+    applied to each record; a line that does not parse names its number, and
+    line 1 must be the meta line of an ``artifact`` file."""
     _require(path, producing_stage)
     records: list = []
     meta: dict = {}
@@ -187,23 +190,29 @@ def _read_jsonl(
         try:
             for number, line in enumerate(handle, 1):
                 line = line.strip()
-                if not line:
+                if not line and number > 1:
                     continue
                 data = json.loads(line)
                 if not isinstance(data, dict):
                     raise TypeError(f"a JSON {type(data).__name__}, not an object")
                 if number == 1:
+                    if data.get("artifact") != artifact:
+                        raise ValueError(f"not the meta line of a {artifact!r} file")
                     meta = data
                 else:
                     records.append(data if convert is None else convert(data))
         except (KeyError, TypeError, ValueError) as exc:
             raise _malformed(path, number, exc) from None
+    if number == 0:
+        raise _malformed(path, 1, ValueError("empty file, no meta line"))
     _check_hash(meta.get("config_hash"), config_hash, path)
     return meta, records
 
 
 class _WorkspaceLock:
-    """One pipeline per working directory, guarded by a lock file."""
+    """One pipeline per working directory, guarded by a lock file that holds
+    the pid of its run; the lock of a pid that is no longer alive is taken
+    over with a warning."""
 
     def __init__(self, out_dir: Path):
         self.path = out_dir / ".segforge.lock"
@@ -212,12 +221,39 @@ class _WorkspaceLock:
         try:
             fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            raise WorkspaceLocked(
-                f"{self.path} exists; another run may be active (remove the file if it is stale)"
-            ) from None
+            pid = self._dead_holder()
+            if pid is None:
+                raise self._locked() from None
+            logger.warning("%s names pid %d, which is not running; taking it over", self.path, pid)
+            try:
+                os.unlink(self.path)
+            except FileNotFoundError:
+                pass
+            try:
+                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            except FileExistsError:  # another run took it over first
+                raise self._locked() from None
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(f"{os.getpid()}\n")
         return self
+
+    def _locked(self) -> WorkspaceLocked:
+        return WorkspaceLocked(
+            f"{self.path} exists; another run may be active (remove the file if it is stale)"
+        )
+
+    def _dead_holder(self) -> int | None:
+        """The pid the lock names if that process is gone, else None: a lock
+        that cannot be read, or whose pid may be alive, counts as held."""
+        try:
+            pid = int(self.path.read_text(encoding="utf-8"))
+            if pid > 0:
+                os.kill(pid, 0)  # signal 0 sends nothing; it only checks the pid
+        except ProcessLookupError:
+            return pid
+        except (OSError, OverflowError, ValueError):  # PermissionError: alive
+            pass
+        return None
 
     def __exit__(self, *exc_info):
         try:
@@ -348,6 +384,7 @@ def _load_annotations(out: Path, config_hash: str) -> list[CompoundAnnotation]:
         out / "annotations.jsonl",
         config_hash,
         "annotate",
+        "annotations",
         lambda record: CompoundAnnotation(**record),
     )
     return records
@@ -411,11 +448,19 @@ def run_simulate(config: PipelineConfig, out: Path, recycle: bool = False) -> No
     config_hash = config.config_hash()
     _require(out / "library.sqlite", "map")
     library = load_library(str(out / "library.sqlite"), expected_config_hash=config_hash)
-    _, decoded = _read_jsonl(out / "mazes.jsonl", config_hash, "gen-space", maze_from_record)
+    _, decoded = _read_jsonl(
+        out / "mazes.jsonl", config_hash, "gen-space", "mazes", maze_from_record
+    )
     mazes = {grid.maze_id: grid for grid, _ in decoded}
     missing = next((g.maze_id for g in library.games if g.maze_id not in mazes), None)
     if missing is not None:
         raise MalformedArtifact(f"mazes.jsonl has no maze {missing!r}, which the library uses")
+    # the bots route on each maze's spanning tree
+    for maze_id in sorted({g.maze_id for g in library.games}):
+        try:
+            maze_tree(mazes[maze_id])
+        except ImperfectMaze as exc:
+            raise MalformedArtifact(f"mazes.jsonl: {exc}") from None
 
     recycle = recycle or config.sim_recycle
     session_lines: list[str] = []
@@ -502,7 +547,7 @@ def run_analyze(config: PipelineConfig, out: Path, sessions_path: str | None = N
         surveyed(record)  # the fields analyze_sessions reads
         return record
 
-    _, records = _read_jsonl(path, config_hash, "simulate", session)
+    _, records = _read_jsonl(path, config_hash, "simulate", "sessions", session)
     analysis = analyze_sessions(
         records,
         ci_level=config.stats_ci_level,

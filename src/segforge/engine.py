@@ -10,7 +10,6 @@ and advances the curriculum on victory.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
 
 from .contentspace import Difficulty, GameParams, MazeGrid, PATH, generate_maze
@@ -59,6 +58,10 @@ class EmptyPool(SegforgeError):
 
 class CurriculumComplete(SegforgeError):
     """The player has finished the last compound."""
+
+
+class ImperfectMaze(SegforgeError):
+    """The path cells of a maze do not form one tree."""
 
 
 @dataclass(frozen=True)
@@ -231,20 +234,57 @@ def select_game(pool: list[tuple[str, tuple[float, ...]]]) -> str:
 # ===== Headless bot simulation =====
 
 
+def maze_tree(grid: MazeGrid) -> tuple[list, dict, dict, dict]:
+    """The tables the bots route on: the path cells in row order, each cell's
+    path neighbours, and parent and depth maps rooted at the first cell.
+
+    Raises ImperfectMaze unless the path cells form one tree (connected, with
+    one edge fewer than cells), because then every route is the unique path
+    between its two ends.
+    """
+    path_cells = [
+        (x, y)
+        for y in range(grid.height)
+        for x in range(grid.width)
+        if grid.cells[y][x] == PATH
+    ]
+    if not path_cells:
+        raise ImperfectMaze(f"maze {grid.maze_id!r} has no path cells")
+    on_path = set(path_cells)
+    # this order is what rng.choice picks from
+    adjacent = {
+        (x, y): tuple(
+            c for c in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)) if c in on_path
+        )
+        for x, y in path_cells
+    }
+    root = path_cells[0]
+    parent: dict[tuple[int, int], tuple[int, int]] = {}
+    depth = {root: 0}
+    stack = [root]
+    while stack:
+        cell = stack.pop()
+        for neighbor in adjacent[cell]:
+            if neighbor not in depth:
+                parent[neighbor] = cell
+                depth[neighbor] = depth[cell] + 1
+                stack.append(neighbor)
+    edges = sum(map(len, adjacent.values())) // 2
+    if len(depth) < len(path_cells) or edges != len(path_cells) - 1:
+        raise ImperfectMaze(
+            f"maze {grid.maze_id!r} is not a perfect maze: {len(path_cells)} path cells "
+            f"with {edges} edges, {len(depth)} of them connected to the start"
+        )
+    return path_cells, adjacent, parent, depth
+
+
 class _Arena:
     """Mutable play state on one maze."""
 
     def __init__(self, grid: MazeGrid, params: GameParams | GameRecord, rng: random.Random):
         self.rng = rng
-        self.width = grid.width
-        self.height = grid.height
         self.cells = grid.cells
-        self.path_cells = [
-            (x, y)
-            for y in range(grid.height)
-            for x in range(grid.width)
-            if grid.cells[y][x] == PATH
-        ]
+        self.path_cells, self.adjacent, self.parent, self.depth = maze_tree(grid)
         self.start = self.path_cells[0]
         self.exit = self.path_cells[-1]
         self.avatar = self.start
@@ -261,17 +301,27 @@ class _Arena:
         self.good_atoms = set(picks[:GOOD_ATOMS_ON_FIELD])
         self.bad_atoms = set(picks[GOOD_ATOMS_ON_FIELD:])
 
-    def is_path(self, cell: tuple[int, int]) -> bool:
-        x, y = cell
-        return 0 <= x < self.width and 0 <= y < self.height and self.cells[y][x] == PATH
-
-    def neighbors(self, cell: tuple[int, int]) -> list[tuple[int, int]]:
-        x, y = cell
-        return [
-            c
-            for c in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1))
-            if self.is_path(c)
-        ]
+    def path(self, source: tuple[int, int], target: tuple[int, int]) -> list[tuple[int, int]]:
+        """The unique path from ``source`` to ``target``, both included:
+        each end climbs the parent map until the two meet."""
+        parent = self.parent
+        a, b = source, target
+        up, down = [a], [b]
+        climb = self.depth[a] - self.depth[b]
+        for _ in range(climb):
+            a = parent[a]
+            up.append(a)
+        for _ in range(-climb):
+            b = parent[b]
+            down.append(b)
+        while a != b:
+            a = parent[a]
+            b = parent[b]
+            up.append(a)
+            down.append(b)
+        down.pop()
+        up.extend(reversed(down))
+        return up
 
     def respawn_atom(self, good: bool) -> None:
         occupied = self.good_atoms | self.bad_atoms | {self.avatar, self.start, self.exit}
@@ -305,22 +355,6 @@ class _Arena:
             if self.line_of_sight(self.avatar, cell):
                 hits.append((abs(cell[0] - self.avatar[0]) + abs(cell[1] - self.avatar[1]), cell))
         return sorted(hits)
-
-    def distance_field(
-        self, sources: list[tuple[int, int]], blocked: set[tuple[int, int]] | None = None
-    ):
-        """BFS distances over path cells to the nearest of ``sources``."""
-        blocked = blocked or set()
-        dist = dict.fromkeys(sources, 0)
-        queue = deque(dist)
-        while queue:
-            cell = queue.popleft()
-            for neighbor in self.neighbors(cell):
-                if neighbor in dist or neighbor in blocked:
-                    continue
-                dist[neighbor] = dist[cell] + 1
-                queue.append(neighbor)
-        return dist
 
 
 def _avatar_shoot(arena: _Arena, tally: dict, events: list[SimEvent], tick: int) -> None:
@@ -380,7 +414,7 @@ def _random_turn(arena: _Arena, tally: dict, events: list[SimEvent], tick: int) 
         _avatar_shoot(arena, tally, events, tick)
         return False
     for _ in range(AVATAR_SPEED):
-        options = arena.neighbors(arena.avatar)
+        options = arena.adjacent[arena.avatar]
         if not options:
             return False
         if _enter_cell(arena, arena.rng.choice(options), tally, events, tick):
@@ -388,37 +422,21 @@ def _random_turn(arena: _Arena, tally: dict, events: list[SimEvent], tick: int) 
     return False
 
 
-def _route_field(arena: _Arena, target: tuple[int, int]):
-    """BFS field toward ``target``, avoiding hazards when a route allows it.
-
-    In a perfect maze there is a single corridor between any two cells, so
-    the avoidance levels collapse quickly: block enemy surroundings first,
-    then just enemies, then accept any route.
-    """
-    danger = set(arena.enemies)
-    for enemy in arena.enemies:
-        danger.update(arena.neighbors(enemy))
-    for blocked in (
-        arena.bad_atoms | danger,
-        arena.bad_atoms | set(arena.enemies),
-        set(arena.enemies),
-        set(),
-    ):
-        field = arena.distance_field([target], blocked=blocked - {target, arena.avatar})
-        if arena.avatar in field:
-            return field
-    return None
+def _enemy_gap(arena: _Arena, cell: tuple[int, int]) -> int:
+    """Distance from ``cell`` to the nearest enemy, TIME_LIMIT without one."""
+    return min(
+        (len(arena.path(cell, enemy)) - 1 for enemy in arena.enemies), default=TIME_LIMIT
+    )
 
 
 def _flee_step(arena: _Arena) -> None:
-    """Back away when an enemy is within two cells and no route exists."""
-    enemy_field = arena.distance_field(arena.enemies)
-    gap = enemy_field.get(arena.avatar, TIME_LIMIT)
+    """Back away when an enemy is within two cells."""
+    gap = _enemy_gap(arena, arena.avatar)
     if gap > 2:
         return
     nxt = None
-    for option in sorted(arena.neighbors(arena.avatar)):
-        option_gap = enemy_field.get(option, TIME_LIMIT)
+    for option in sorted(arena.adjacent[arena.avatar]):
+        option_gap = _enemy_gap(arena, option)
         if option not in arena.enemies and option not in arena.bad_atoms and option_gap > gap:
             gap = option_gap
             nxt = option
@@ -431,39 +449,31 @@ def _greedy_turn(arena: _Arena, tally: dict, events: list[SimEvent], tick: int) 
         _avatar_shoot(arena, tally, events, tick)
         return False
     if arena.collected >= COLLECTION_TARGET:
-        target = arena.exit
+        route = arena.path(arena.avatar, arena.exit)
     else:
         # nearest correct atom, preferring ones whose corridor is free of
         # wrong atoms and enemies (crossing either costs a life)
-        target = None
-        for hazards in (
-            set(arena.enemies) | arena.bad_atoms,
-            set(arena.enemies),
-            set(),
-        ):
-            field = arena.distance_field([arena.avatar], blocked=hazards)
-            reachable = sorted((field[a], a) for a in arena.good_atoms if a in field)
-            if reachable:
-                target = reachable[0][1]
-                break
-    if target is None:
-        _flee_step(arena)
-        return False
-    field = _route_field(arena, target)
-    if field is None:
-        _flee_step(arena)
-        return False
-    for _ in range(AVATAR_SPEED):
-        nxt = min(
-            (
-                n
-                for n in arena.neighbors(arena.avatar)
-                if n in field and field[n] < field[arena.avatar] and n not in arena.enemies
-            ),
-            key=lambda n: (field[n], n),
-            default=None,
+        enemies = set(arena.enemies)
+        candidates = sorted(
+            (len(path), path[-1], path)
+            for path in (arena.path(arena.avatar, atom) for atom in arena.good_atoms)
         )
-        if nxt is None:
+        route = next(
+            (
+                path
+                for hazards in (enemies | arena.bad_atoms, enemies, set())
+                for _, _, path in candidates
+                if hazards.isdisjoint(path[1:])
+            ),
+            None,
+        )
+    # no atom left, or the bot already stands on its target
+    if route is None or len(route) == 1:
+        _flee_step(arena)
+        return False
+    target = route[-1]
+    for nxt in route[1 : AVATAR_SPEED + 1]:
+        if nxt in arena.enemies:
             _flee_step(arena)
             return False
         if _enter_cell(arena, nxt, tally, events, tick):
@@ -475,21 +485,13 @@ def _greedy_turn(arena: _Arena, tally: dict, events: list[SimEvent], tick: int) 
 
 def _enemy_turn(arena: _Arena, tally: dict, events: list[SimEvent], tick: int) -> None:
     moved: list[tuple[int, int]] = []
-    chase_field = None
-    if arena.enemy_type == 1:
-        chase_field = arena.distance_field([arena.avatar])
     for cell in arena.enemies:
-        if arena.enemy_type == 1 and chase_field is not None and cell in chase_field:
-            nxt = min(
-                (n for n in arena.neighbors(cell) if n in chase_field),
-                key=lambda n: (chase_field[n], n),
-                default=cell,
-            )
-            if chase_field.get(nxt, 0) >= chase_field.get(cell, 0):
-                nxt = cell
+        if arena.enemy_type == 1:
+            # a chaser steps along its path to the avatar, or stays on it
+            route = arena.path(cell, arena.avatar)
+            nxt = route[1] if len(route) > 1 else cell
         else:
-            options = arena.neighbors(cell) + [cell]
-            nxt = arena.rng.choice(options)
+            nxt = arena.rng.choice(arena.adjacent[cell] + (cell,))
         moved.append(nxt)
     arena.enemies = moved
     if arena.avatar in arena.enemies:
@@ -510,7 +512,8 @@ def bot_simulate(
     One tick is one simulated second, capped at the 90-second session limit.
     The bot wins by collecting ten correct atoms and then reaching the exit;
     it loses on expired time or exhausted lives. The run is a pure function
-    of (maze, params, policy, seed).
+    of (maze, params, policy, seed). The bots route on the maze's spanning
+    tree, so a maze whose path cells are not one tree raises ImperfectMaze.
     """
     if policy not in ("random", "greedy"):
         raise ValueError(f"unknown policy {policy!r}")

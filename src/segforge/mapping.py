@@ -411,34 +411,6 @@ def export_json(library: ContentLibrary) -> str:
     return json.dumps(payload, sort_keys=True, indent=1)
 
 
-def library_from_json(text: str) -> ContentLibrary:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CorruptStore(f"library JSON does not parse: {exc}") from exc
-    try:
-        library = ContentLibrary(
-            compounds=[CompoundAnnotation(**c) for c in payload["compounds"]],
-            games=[GameRecord(**g) for g in payload["games"]],
-            clusters=[
-                ClusterSummary(
-                    **{
-                        **c,
-                        "centroid": tuple(c["centroid"]),
-                        "member_game_ids": tuple(c["member_game_ids"]),
-                    }
-                )
-                for c in payload["clusters"]
-            ],
-            mapping=[MappingEntry(**m) for m in payload["mapping"]],
-            metadata=dict(payload["metadata"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise CorruptStore(f"library JSON does not hold library records: {exc}") from exc
-    validate_library(library)
-    return library
-
-
 def export_level_curves(library: ContentLibrary) -> tuple[str, str]:
     """Per-compound cluster size (N) and spread (S) curves as CSV text.
 

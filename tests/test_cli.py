@@ -5,15 +5,18 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import shutil
 import sqlite3
+import subprocess
+import sys
 from dataclasses import fields
 
 import pytest
 
 from segforge.cli import main
 from segforge.clustering import ClusterSummary, ThresholdCandidate
-from segforge.contentspace import FEATURE_NAMES
+from segforge.contentspace import FEATURE_NAMES, PATH, maze_from_record, maze_record_json
 from segforge.engine import ActionTally, SessionRecord, SimEvent
 from segforge.knowledge import CompoundAnnotation
 from segforge.mapping import GameRecord, MappingEntry
@@ -246,6 +249,42 @@ def test_maze_missing_from_store_fails_cleanly(workdir, tmp_path, capsys):
     assert not (broken / "sessions.jsonl").exists()
 
 
+def _open_a_wall(grid, defect):
+    """The cells of ``grid`` with one wall opened: between two path cells
+    (a loop), or in the corner, where no path cell touches it (an island)."""
+    rows = [list(row) for row in grid.cells]
+    if defect == "island":
+        rows[0][0] = PATH
+    else:
+        x, y = next(
+            (x, y)
+            for y in range(1, grid.height - 1)
+            for x in range(1, grid.width - 1)
+            if rows[y][x] != PATH and rows[y][x - 1] == rows[y][x + 1] == PATH
+        )
+        rows[y][x] = PATH
+    return tuple(tuple(row) for row in rows)
+
+
+@pytest.mark.parametrize("defect", ["loop", "island"])
+def test_imperfect_maze_fails_cleanly(workdir, tmp_path, capsys, defect):
+    config, out = workdir
+    broken = tmp_path / defect
+    broken.mkdir()
+    shutil.copyfile(out / "library.sqlite", broken / "library.sqlite")
+    lines = (out / "mazes.jsonl").read_text().splitlines()
+    index = next(i for i, line in enumerate(lines) if '"m0003"' in line)
+    grid, features = maze_from_record(json.loads(lines[index]))
+    grid = type(grid)(**{**vars(grid), "cells": _open_a_wall(grid, defect)})
+    lines[index] = maze_record_json(grid, features)
+    (broken / "mazes.jsonl").write_text("\n".join(lines) + "\n")
+    assert main(["simulate", "--config", str(config), "--out", str(broken)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "mazes.jsonl" in err and "'m0003' is not a perfect maze" in err
+    assert not (broken / "sessions.jsonl").exists()
+
+
 def test_space_with_bad_feature_text_fails_in_categorize(workdir, tmp_path, capsys):
     config, out = workdir
     broken = tmp_path / "blank"
@@ -285,8 +324,16 @@ def test_games_table_missing_a_column_fails_cleanly(workdir, tmp_path, capsys):
         (["[1]", '{"fun": true, "pre_exam": 0, "post_exam": 1}'], 1),  # meta not an object
         (['{"artifact": "sessions"}', "[1, 2]"], 2),  # record not an object
         (['{"artifact": "sessions"}', '{"fun": true, "post_exam": 1}'], 2),  # no pre_exam
+        (['{"fun": true, "pre_exam": 0, "post_exam": 1}'] * 31, 1),  # no meta line
+        (['{"artifact": "annotations"}', '{"fun": true, "pre_exam": 0, "post_exam": 1}'], 1),
     ],
-    ids=["meta-not-object", "record-not-object", "record-without-pre-exam"],
+    ids=[
+        "meta-not-object",
+        "record-not-object",
+        "record-without-pre-exam",
+        "no-meta-line",
+        "meta-of-another-artifact",
+    ],
 )
 def test_malformed_sessions_fail_cleanly(workdir, tmp_path, capsys, lines, bad_line):
     config, _ = workdir
@@ -328,11 +375,36 @@ def test_bad_config_fails_cleanly(tmp_path, capsys):
 def test_lock_file_blocks_concurrent_runs(tmp_path, capsys):
     out = tmp_path / "locked"
     out.mkdir()
-    (out / ".segforge.lock").write_text("123\n")
+    (out / ".segforge.lock").write_text(f"{os.getpid()}\n")
     assert main(["annotate", "--out", str(out)]) == 1
     assert ".segforge.lock" in capsys.readouterr().err
     (out / ".segforge.lock").unlink()
     assert main(["annotate", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize(
+    "content", ["not a pid\n", "0\n", f"{2**64}\n"], ids=["text", "zero", "huge"]
+)
+def test_lock_without_a_checkable_pid_blocks(tmp_path, capsys, content):
+    out = tmp_path / "locked"
+    out.mkdir()
+    (out / ".segforge.lock").write_text(content)
+    assert main(["annotate", "--out", str(out)]) == 1
+    assert ".segforge.lock" in capsys.readouterr().err
+    assert (out / ".segforge.lock").read_text() == content
+
+
+def test_stale_lock_is_taken_over(tmp_path, caplog):
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()  # reaped: its pid names no process
+    out = tmp_path / "stale"
+    out.mkdir()
+    (out / ".segforge.lock").write_text(f"{child.pid}\n")
+    with caplog.at_level(logging.WARNING, logger="segforge.cli"):
+        assert main(["annotate", "--out", str(out)]) == 0
+    assert any(f"pid {child.pid}" in message for message in caplog.messages)
+    assert (out / "annotations.jsonl").is_file()
+    assert not (out / ".segforge.lock").exists()
 
 
 def test_seed_override_changes_artifacts(tmp_path):

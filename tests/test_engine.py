@@ -12,6 +12,7 @@ from segforge.clustering import ClusterSummary
 from segforge.contentspace import (
     Difficulty,
     GameParams,
+    MazeGrid,
     extract_features,
     generate_maze,
 )
@@ -19,6 +20,7 @@ from segforge.engine import (
     ActionTally,
     CurriculumComplete,
     EmptyPool,
+    ImperfectMaze,
     PlayerProfile,
     SessionRecord,
     UnknownMaterial,
@@ -26,6 +28,7 @@ from segforge.engine import (
     assess_level,
     bot_simulate,
     candidate_pool,
+    maze_tree,
     next_material,
     practice_session,
     run_session,
@@ -34,6 +37,8 @@ from segforge.engine import (
 )
 from segforge.knowledge import CompoundAnnotation
 from segforge.mapping import ContentLibrary, GameRecord, deploy
+
+import bfs_engine
 
 
 # ===== Fixtures =====
@@ -338,6 +343,63 @@ def test_greedy_beats_random_on_easy_games(small_grid):
         score(bot_simulate(small_grid, EASY_PARAMS, "random", s).tally) for s in seeds
     )
     assert greedy > rand
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    maze_seed=st.integers(0, 10**6),
+    width=st.integers(2, 15).map(lambda n: 2 * n + 1),
+    height=st.integers(2, 15).map(lambda n: 2 * n + 1),
+    policy=st.sampled_from(["greedy", "random"]),
+    enemy_type=st.sampled_from([0, 1]),
+    total_enemy=st.integers(0, 8),
+    total_bullets=st.integers(0, 5),
+    seed=st.integers(0, 2**32),
+)
+def test_bot_matches_the_bfs_simulator(
+    maze_seed, width, height, policy, enemy_type, total_enemy, total_bullets, seed
+):
+    grid = generate_maze(maze_seed, width, height)
+    params = GameParams("g", grid.maze_id, enemy_type, total_enemy, total_bullets)
+    expected = bfs_engine.bot_simulate(grid, params, policy, seed)
+    assert bot_simulate(grid, params, policy, seed) == expected
+
+
+def _grid(*rows: str) -> MazeGrid:
+    cells = tuple(tuple(int(c == ".") for c in row) for row in rows)
+    return MazeGrid("hand", 0, len(rows[0]), len(rows), cells)
+
+
+LOOP_GRID = _grid(
+    "#######",
+    "#.....#",
+    "#.#.#.#",
+    "#.....#",
+    "#######",
+)
+ISLAND_GRID = _grid(
+    "#######",
+    "#...#.#",
+    "#######",
+)
+
+
+@pytest.mark.parametrize("grid", [LOOP_GRID, ISLAND_GRID], ids=["loop", "island"])
+def test_bot_rejects_a_maze_that_is_not_a_tree(grid):
+    with pytest.raises(ImperfectMaze, match="'hand' is not a perfect maze"):
+        bot_simulate(grid, EASY_PARAMS, "greedy", seed=0)
+
+
+def test_maze_tree_spans_every_path_cell(small_grid):
+    path_cells, adjacent, parent, depth = maze_tree(small_grid)
+    assert path_cells == sorted(path_cells, key=lambda c: (c[1], c[0]))
+    assert set(adjacent) == set(depth) == set(path_cells)
+    assert set(parent) == set(path_cells) - {path_cells[0]}
+    for cell, up in parent.items():
+        assert up in adjacent[cell] and depth[cell] == depth[up] + 1
+    for (x, y), neighbors in adjacent.items():
+        order = [(x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)]
+        assert list(neighbors) == [c for c in order if c in adjacent]
 
 
 # ===== Practice sessions =====

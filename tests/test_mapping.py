@@ -20,7 +20,6 @@ from segforge.mapping import (
     deploy,
     export_json,
     export_level_curves,
-    library_from_json,
     load_library,
     save_library,
     sort_clusters,
@@ -185,6 +184,27 @@ def test_library_round_trips_through_sqlite(tmp_path) -> None:
     assert loaded == library
 
 
+def library_from_json(text: str) -> ContentLibrary:
+    """The library that ``export_json`` rendered: the round-trip oracle."""
+    payload = json.loads(text)
+    return ContentLibrary(
+        compounds=[CompoundAnnotation(**c) for c in payload["compounds"]],
+        games=[GameRecord(**g) for g in payload["games"]],
+        clusters=[
+            ClusterSummary(
+                **{
+                    **c,
+                    "centroid": tuple(c["centroid"]),
+                    "member_game_ids": tuple(c["member_game_ids"]),
+                }
+            )
+            for c in payload["clusters"]
+        ],
+        mapping=[MappingEntry(**m) for m in payload["mapping"]],
+        metadata=dict(payload["metadata"]),
+    )
+
+
 def test_library_round_trips_through_json() -> None:
     library = _tiny_library()
     assert library_from_json(export_json(library)) == library
@@ -303,17 +323,6 @@ def test_load_detects_game_in_no_cluster(tmp_path) -> None:
     conn.close()
     with pytest.raises(IntegrityViolation, match="'easy-g9' belongs to no cluster"):
         load_library(path)
-
-
-@pytest.mark.parametrize("tamper", ["drop", "add"])
-def test_json_import_rejects_missing_or_extra_key(tamper) -> None:
-    payload = json.loads(export_json(_tiny_library()))
-    if tamper == "drop":
-        del payload["games"][0]["total_path"]
-    else:
-        payload["compounds"][0]["charge"] = 0
-    with pytest.raises(CorruptStore):
-        library_from_json(json.dumps(payload))
 
 
 def test_validate_rejects_game_in_two_clusters() -> None:
