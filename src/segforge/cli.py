@@ -28,6 +28,8 @@ from .contentspace import (
     LEVELS,
     FeatureScaler,
     GameParams,
+    MazeFeatures,
+    MazeGrid,
     classify_difficulty,
     enumerate_space,
     extract_features,
@@ -39,9 +41,11 @@ from .engine import (
     CurriculumComplete,
     EmptyPool,
     ImperfectMaze,
+    MazeTree,
     PlayerProfile,
     maze_tree,
     practice_session,
+    practice_tree,
     run_session,
 )
 from .errors import SegforgeError
@@ -444,6 +448,38 @@ def run_map(config: PipelineConfig, out: Path, export_plots: bool = False) -> No
     )
 
 
+def _check_features(grid: MazeGrid, stored: MazeFeatures, games: list[GameRecord]) -> None:
+    """Raise MalformedArtifact unless the features of ``grid``'s cells equal
+    the ones its mazes.jsonl record stores and every library game on it."""
+    actual = vars(extract_features(grid))
+    holders = [(stored, "its record")] + [(g, f"library game {g.game_id!r}") for g in games]
+    for holder, label in holders:
+        for name, value in actual.items():
+            if getattr(holder, name) != value:
+                raise MalformedArtifact(
+                    f"mazes.jsonl: maze {grid.maze_id!r} has {name} {value!r} in its cells "
+                    f"but {getattr(holder, name)!r} in {label}"
+                )
+
+
+class _PlayedTrees(dict):
+    """Routing tables keyed by maze id, each built when a game on its maze is
+    first served and shared by every later game there, so a cohort holds the
+    tables of the mazes it plays rather than of the whole library."""
+
+    def __init__(self, grids: dict[str, MazeGrid]):
+        super().__init__()
+        self.grids = grids
+
+    def __missing__(self, maze_id: str) -> MazeTree:
+        tree = self[maze_id] = maze_tree(self.grids[maze_id])
+        return tree
+
+
+def _per_level(counts: dict[str, int]) -> str:
+    return ", ".join(f"{level} {count}" for level, count in counts.items())
+
+
 def run_simulate(config: PipelineConfig, out: Path, recycle: bool = False) -> None:
     config_hash = config.config_hash()
     _require(out / "library.sqlite", "map")
@@ -451,16 +487,23 @@ def run_simulate(config: PipelineConfig, out: Path, recycle: bool = False) -> No
     _, decoded = _read_jsonl(
         out / "mazes.jsonl", config_hash, "gen-space", "mazes", maze_from_record
     )
-    mazes = {grid.maze_id: grid for grid, _ in decoded}
-    missing = next((g.maze_id for g in library.games if g.maze_id not in mazes), None)
+    stored = {grid.maze_id: (grid, features) for grid, features in decoded}
+    games_on: dict[str, list[GameRecord]] = {}
+    for game in library.games:
+        games_on.setdefault(game.maze_id, []).append(game)
+    missing = next((maze_id for maze_id in games_on if maze_id not in stored), None)
     if missing is not None:
         raise MalformedArtifact(f"mazes.jsonl has no maze {missing!r}, which the library uses")
     # the bots route on each maze's spanning tree
-    for maze_id in sorted({g.maze_id for g in library.games}):
+    for maze_id in sorted(games_on):
+        grid, features = stored[maze_id]
         try:
-            maze_tree(mazes[maze_id])
+            maze_tree(grid)
         except ImperfectMaze as exc:
             raise MalformedArtifact(f"mazes.jsonl: {exc}") from None
+        _check_features(grid, features, games_on[maze_id])
+    trees = _PlayedTrees({maze_id: grid for maze_id, (grid, _) in stored.items()})
+    practice_maze = practice_tree()
 
     recycle = recycle or config.sim_recycle
     session_lines: list[str] = []
@@ -473,10 +516,13 @@ def run_simulate(config: PipelineConfig, out: Path, recycle: bool = False) -> No
         )
 
     victories = 0
+    recycled = dict.fromkeys(LEVELS, 0)
+    exhausted = dict.fromkeys(LEVELS, 0)
     for p in range(config.sim_players):
         profile = PlayerProfile(f"player-{p:03d}")
         practice = practice_session(
             profile,
+            practice_maze,
             config.sim_policy,
             seed=config.sim_seed + p,
             easy_medium=config.easy_medium,
@@ -491,7 +537,7 @@ def run_simulate(config: PipelineConfig, out: Path, recycle: bool = False) -> No
                 record = run_session(
                     profile,
                     library,
-                    mazes,
+                    trees,
                     config.sim_policy,
                     seed,
                     recycle=recycle,
@@ -506,6 +552,7 @@ def run_simulate(config: PipelineConfig, out: Path, recycle: bool = False) -> No
                 )
                 break
             except EmptyPool:
+                exhausted[profile.mastery.value] += 1
                 event_lines.append(
                     json.dumps(
                         {"player_id": profile.player_id, "kind": "pool_exhausted"}
@@ -515,6 +562,7 @@ def run_simulate(config: PipelineConfig, out: Path, recycle: bool = False) -> No
             session_lines.append(json.dumps(record.to_record(), sort_keys=False))
             log_events(profile.player_id, record.game_id, record.events)
             victories += record.outcome == "victory"
+            recycled[record.difficulty] += record.recycled
 
     base_meta = {
         "config_hash": config_hash,
@@ -531,20 +579,32 @@ def run_simulate(config: PipelineConfig, out: Path, recycle: bool = False) -> No
         _jsonl_text({"artifact": "events", **base_meta}, event_lines),
     )
     logger.info(
-        "simulated %d sessions (%d victories) for %d players",
+        "simulated %d sessions (%d victories) for %d players; recycled: %s; "
+        "pools exhausted: %s",
         len(session_lines),
         victories,
         config.sim_players,
+        _per_level(recycled),
+        _per_level(exhausted),
     )
 
 
 def run_analyze(config: PipelineConfig, out: Path, sessions_path: str | None = None) -> None:
     config_hash = config.config_hash()
     path = Path(sessions_path) if sessions_path else out / "sessions.jsonl"
-    surveyed = itemgetter("fun", "pre_exam", "post_exam")
+    seen: set[tuple] = set()
 
     def session(record: dict) -> dict:
-        surveyed(record)  # the fields analyze_sessions reads
+        # the fields analyze_sessions reads, with the types it counts on
+        if type(record["fun"]) is not bool:
+            raise TypeError(f"fun is {record['fun']!r}, not true or false")
+        for name in ("pre_exam", "post_exam"):
+            if type(record[name]) is not int or record[name] not in (0, 1):
+                raise ValueError(f"{name} is {record[name]!r}, not 0 or 1")
+        key = (record["player_id"], record["seed"])
+        if key in seen:
+            raise ValueError(f"a second session of player {key[0]!r} with seed {key[1]!r}")
+        seen.add(key)
         return record
 
     _, records = _read_jsonl(path, config_hash, "simulate", "sessions", session)

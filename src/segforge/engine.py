@@ -234,30 +234,53 @@ def select_game(pool: list[tuple[str, tuple[float, ...]]]) -> str:
 # ===== Headless bot simulation =====
 
 
-def maze_tree(grid: MazeGrid) -> tuple[list, dict, dict, dict]:
-    """The tables the bots route on: the path cells in row order, each cell's
-    path neighbours, and parent and depth maps rooted at the first cell.
+@dataclass(frozen=True)
+class MazeTree:
+    """The tables the bots route on, built once per maze and shared by every
+    game on it; play reads them and never changes them.
+
+    ``path_cells`` lists the path cells in row order, ``adjacent`` maps each
+    to its path neighbours, and ``parent`` and ``depth`` root the spanning
+    tree at the first cell. ``cells`` is the maze's grid, for line of sight.
+    Every cell in the tables is the same tuple object as in ``path_cells``.
+    """
+
+    maze_id: str
+    cells: tuple[tuple[int, ...], ...]
+    path_cells: tuple[tuple[int, int], ...]
+    adjacent: dict[tuple[int, int], tuple[tuple[int, int], ...]]
+    parent: dict[tuple[int, int], tuple[int, int]]
+    depth: dict[tuple[int, int], int]
+
+
+def maze_tree(grid: MazeGrid) -> MazeTree:
+    """The routing tables of ``grid``.
 
     Raises ImperfectMaze unless the path cells form one tree (connected, with
     one edge fewer than cells), because then every route is the unique path
     between its two ends.
     """
-    path_cells = [
+    path_cells = tuple(
         (x, y)
         for y in range(grid.height)
         for x in range(grid.width)
         if grid.cells[y][x] == PATH
-    ]
+    )
     if not path_cells:
         raise ImperfectMaze(f"maze {grid.maze_id!r} has no path cells")
-    on_path = set(path_cells)
-    # this order is what rng.choice picks from
-    adjacent = {
-        (x, y): tuple(
-            c for c in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)) if c in on_path
+    # each cell's own tuple, so the tables share one object per cell
+    canonical = {cell: cell for cell in path_cells}.get
+    adjacent = {}
+    for cell in path_cells:
+        x, y = cell
+        # this order is what rng.choice picks from
+        around = (
+            canonical((x + 1, y)),
+            canonical((x - 1, y)),
+            canonical((x, y + 1)),
+            canonical((x, y - 1)),
         )
-        for x, y in path_cells
-    }
+        adjacent[cell] = tuple([c for c in around if c is not None])
     root = path_cells[0]
     parent: dict[tuple[int, int], tuple[int, int]] = {}
     depth = {root: 0}
@@ -275,16 +298,24 @@ def maze_tree(grid: MazeGrid) -> tuple[list, dict, dict, dict]:
             f"maze {grid.maze_id!r} is not a perfect maze: {len(path_cells)} path cells "
             f"with {edges} edges, {len(depth)} of them connected to the start"
         )
-    return path_cells, adjacent, parent, depth
+    return MazeTree(grid.maze_id, grid.cells, path_cells, adjacent, parent, depth)
+
+
+def practice_tree() -> MazeTree:
+    """The routing tables of the fixed practice maze."""
+    return maze_tree(generate_maze(PRACTICE_MAZE_SEED, maze_id="practice"))
 
 
 class _Arena:
     """Mutable play state on one maze."""
 
-    def __init__(self, grid: MazeGrid, params: GameParams | GameRecord, rng: random.Random):
+    def __init__(self, tree: MazeTree, params: GameParams | GameRecord, rng: random.Random):
         self.rng = rng
-        self.cells = grid.cells
-        self.path_cells, self.adjacent, self.parent, self.depth = maze_tree(grid)
+        self.cells = tree.cells
+        self.path_cells = tree.path_cells
+        self.adjacent = tree.adjacent
+        self.parent = tree.parent
+        self.depth = tree.depth
         self.start = self.path_cells[0]
         self.exit = self.path_cells[-1]
         self.avatar = self.start
@@ -502,7 +533,7 @@ def _enemy_turn(arena: _Arena, tally: dict, events: list[SimEvent], tick: int) -
 
 
 def bot_simulate(
-    grid: MazeGrid,
+    tree: MazeTree,
     params: GameParams | GameRecord,
     policy: str,
     seed: int,
@@ -512,13 +543,13 @@ def bot_simulate(
     One tick is one simulated second, capped at the 90-second session limit.
     The bot wins by collecting ten correct atoms and then reaching the exit;
     it loses on expired time or exhausted lives. The run is a pure function
-    of (maze, params, policy, seed). The bots route on the maze's spanning
-    tree, so a maze whose path cells are not one tree raises ImperfectMaze.
+    of (tree, params, policy, seed). The bots route on the maze's spanning
+    tree, which ``maze_tree`` builds once for all games on the maze.
     """
     if policy not in ("random", "greedy"):
         raise ValueError(f"unknown policy {policy!r}")
     rng = random.Random(seed)
-    arena = _Arena(grid, params, rng)
+    arena = _Arena(tree, params, rng)
     tally = {name: 0 for name in POSITIVE_ACTION_NAMES + NEGATIVE_ACTION_NAMES}
     events: list[SimEvent] = [SimEvent(0, "spawn", f"{arena.avatar[0]},{arena.avatar[1]}")]
     victory = False
@@ -558,6 +589,7 @@ def bot_simulate(
 
 def practice_session(
     profile: PlayerProfile,
+    tree: MazeTree,
     policy: str,
     seed: int,
     *,
@@ -568,11 +600,11 @@ def practice_session(
 ) -> SessionRecord:
     """Estimate mastery by playing the stand-alone practice game.
 
-    The practice maze is fixed and independent of the content library, so
-    the estimate depends only on play quality and the seed.
+    ``tree`` is the practice maze's, from ``practice_tree``. That maze is
+    fixed and independent of the content library, so the estimate depends
+    only on play quality and the seed.
     """
-    grid = generate_maze(PRACTICE_MAZE_SEED, maze_id="practice")
-    result = bot_simulate(grid, PRACTICE_GAME, policy, seed)
+    result = bot_simulate(tree, PRACTICE_GAME, policy, seed)
     session_score = score(result.tally, positive_weights, negative_weights)
     profile.mastery = assess_level(session_score, easy_medium, medium_hard)
     return SessionRecord(
@@ -593,7 +625,7 @@ def practice_session(
 def run_session(
     profile: PlayerProfile,
     library: ContentLibrary,
-    mazes: dict[str, MazeGrid],
+    mazes: dict[str, MazeTree],
     policy: str,
     seed: int,
     *,
@@ -601,7 +633,8 @@ def run_session(
     positive_weights: tuple[float, ...] | None = None,
     negative_weights: tuple[float, ...] | None = None,
 ) -> SessionRecord:
-    """Serve, simulate and record one curriculum session.
+    """Serve, simulate and record one curriculum session on the routing
+    tables in ``mazes``, keyed by maze id.
 
     Victory advances the curriculum to the next compound; defeat keeps the
     player on the same material. With ``recycle`` enabled an exhausted

@@ -31,7 +31,7 @@ from segforge.contentspace import (
     generate_mazes,
     maze_from_record,
 )
-from segforge.engine import PlayerProfile, run_session
+from segforge.engine import PlayerProfile, maze_tree, run_session
 from segforge.gamestats import crosstab, proportion_ztest, render_p_value
 from segforge.knowledge import (
     annotate,
@@ -85,7 +85,7 @@ def serving_library(tmp_path_factory):
     mazes = {}
     for line in (art / "mazes.jsonl").read_text().splitlines()[1:]:
         grid, _ = maze_from_record(json.loads(line))
-        mazes[grid.maze_id] = grid
+        mazes[grid.maze_id] = maze_tree(grid)
     return library, mazes
 
 

@@ -10,14 +10,23 @@ import shutil
 import sqlite3
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import fields
 
 import pytest
 
+from segforge import cli
 from segforge.cli import main
 from segforge.clustering import ClusterSummary, ThresholdCandidate
-from segforge.contentspace import FEATURE_NAMES, PATH, maze_from_record, maze_record_json
-from segforge.engine import ActionTally, SessionRecord, SimEvent
+from segforge.contentspace import (
+    FEATURE_NAMES,
+    LEVELS,
+    PATH,
+    extract_features,
+    maze_from_record,
+    maze_record_json,
+)
+from segforge.engine import ActionTally, SessionRecord, SimEvent, maze_tree
 from segforge.knowledge import CompoundAnnotation
 from segforge.mapping import GameRecord, MappingEntry
 
@@ -285,6 +294,62 @@ def test_imperfect_maze_fails_cleanly(workdir, tmp_path, capsys, defect):
     assert not (broken / "sessions.jsonl").exists()
 
 
+def _grow_a_dead_end(grid):
+    """The cells of ``grid`` with one wall opened beside a dead end where no
+    other path cell touches it, so the maze stays a tree one cell larger.
+    Inside the lattice every wall beside a dead end leads to another room, so
+    the opened cell lies on the border ring."""
+    rows = [list(row) for row in grid.cells]
+    steps = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+    def path_neighbors(x, y):
+        return [
+            (x + dx, y + dy)
+            for dx, dy in steps
+            if 0 <= x + dx < grid.width and 0 <= y + dy < grid.height
+            and rows[y + dy][x + dx] == PATH
+        ]
+
+    x, y = next(
+        (x + dx, y + dy)
+        for y in range(grid.height)
+        for x in range(grid.width)
+        if rows[y][x] == PATH and len(path_neighbors(x, y)) == 1
+        for dx, dy in steps
+        if 0 <= x + dx < grid.width and 0 <= y + dy < grid.height
+        and rows[y + dy][x + dx] != PATH and path_neighbors(x + dx, y + dy) == [(x, y)]
+    )
+    rows[y][x] = PATH
+    return tuple(tuple(row) for row in rows)
+
+
+@pytest.mark.parametrize("stale", ["record", "library"])
+def test_stale_maze_features_fail_cleanly(workdir, tmp_path, capsys, stale):
+    """m0003 is the same maze in every run at the default space seed and
+    size. Its cells gain one path cell; the features stay stale in its
+    mazes.jsonl record, or only in the library's game rows."""
+    config, out = workdir
+    broken = tmp_path / stale
+    broken.mkdir()
+    shutil.copyfile(out / "library.sqlite", broken / "library.sqlite")
+    lines = (out / "mazes.jsonl").read_text().splitlines()
+    index = next(i for i, line in enumerate(lines) if '"m0003"' in line)
+    grid, features = maze_from_record(json.loads(lines[index]))
+    grid = type(grid)(**{**vars(grid), "cells": _grow_a_dead_end(grid)})
+    maze_tree(grid)  # still a perfect maze
+    assert (features.total_path, extract_features(grid).total_path) == (199, 200)
+    if stale == "library":
+        features = extract_features(grid)
+    lines[index] = maze_record_json(grid, features)
+    (broken / "mazes.jsonl").write_text("\n".join(lines) + "\n")
+    assert main(["simulate", "--config", str(config), "--out", str(broken)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "mazes.jsonl" in err and "'m0003' has total_path 200" in err
+    assert ("199 in its record" if stale == "record" else "199 in library game") in err
+    assert not (broken / "sessions.jsonl").exists()
+
+
 def test_space_with_bad_feature_text_fails_in_categorize(workdir, tmp_path, capsys):
     config, out = workdir
     broken = tmp_path / "blank"
@@ -344,6 +409,96 @@ def test_malformed_sessions_fail_cleanly(workdir, tmp_path, capsys, lines, bad_l
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1
     assert f"sessions.jsonl line {bad_line}" in err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("fun", "no"), ("fun", None), ("pre_exam", 2), ("pre_exam", "1"), ("post_exam", None)],
+    ids=["fun-text", "fun-null", "pre-exam-two", "pre-exam-text", "post-exam-null"],
+)
+def test_retyped_survey_field_fails_cleanly(workdir, tmp_path, capsys, field, value):
+    config, out = workdir
+    lines = (out / "sessions.jsonl").read_text().splitlines()
+    record = json.loads(lines[5])
+    record[field] = value
+    lines[5] = json.dumps(record)
+    sessions = tmp_path / "sessions.jsonl"
+    sessions.write_text("\n".join(lines) + "\n")
+    argv = ["analyze", "--config", str(config), "--out", str(tmp_path / "o")]
+    assert main(argv + ["--sessions", str(sessions)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "sessions.jsonl line 6" in err and field in err
+
+
+def test_repeated_session_fails_cleanly(workdir, tmp_path, capsys):
+    config, out = workdir
+    lines = (out / "sessions.jsonl").read_text().splitlines()
+    lines.insert(6, lines[5])
+    sessions = tmp_path / "sessions.jsonl"
+    sessions.write_text("\n".join(lines) + "\n")
+    argv = ["analyze", "--config", str(config), "--out", str(tmp_path / "o")]
+    assert main(argv + ["--sessions", str(sessions)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "sessions.jsonl line 7" in err and "second session" in err
+
+
+@pytest.mark.parametrize("recycle", ["true", "false"])
+def test_simulate_logs_recycles_and_exhausted_pools(workdir, tmp_path, caplog, recycle):
+    _, out = workdir
+    run = tmp_path / "run"
+    run.mkdir()
+    for name in ("library.sqlite", "mazes.jsonl"):
+        shutil.copyfile(out / name, run / name)
+    config = tmp_path / "cohort.conf"
+    config.write_text(
+        f"maze.count = 24\nsim.policy = random\nsim.players = 9\nsim.sessions = 40\n"
+        f"sim.recycle = {recycle}\n"
+    )
+    with caplog.at_level(logging.INFO, logger="segforge.cli"):
+        assert main(["simulate", "--config", str(config), "--out", str(run)]) == 0
+    sessions = [json.loads(line) for line in (run / "sessions.jsonl").open()][1:]
+    events = [json.loads(line) for line in (run / "events.jsonl").open()][1:]
+    # a player's practice game fixes the level of all its sessions
+    level_of = {s["player_id"]: s["difficulty"] for s in sessions}
+    recycled = dict.fromkeys(LEVELS, 0)
+    exhausted = dict.fromkeys(LEVELS, 0)
+    for s in sessions:
+        recycled[s["difficulty"]] += s["recycled"]
+    for e in events:
+        if e.get("kind") == "pool_exhausted":
+            exhausted[level_of[e["player_id"]]] += 1
+    assert sum((recycled if recycle == "true" else exhausted).values()) > 0
+    counts = [
+        ", ".join(f"{level} {n}" for level, n in per_level.items())
+        for per_level in (recycled, exhausted)
+    ]
+    expected = f"recycled: {counts[0]}; pools exhausted: {counts[1]}"
+    assert any(expected in message for message in caplog.messages), caplog.messages
+
+
+def test_simulate_builds_tables_only_for_played_mazes(workdir, tmp_path, monkeypatch):
+    config, out = workdir
+    run = tmp_path / "run"
+    run.mkdir()
+    for name in ("library.sqlite", "mazes.jsonl"):
+        shutil.copyfile(out / name, run / name)
+    built = []
+
+    def counting_maze_tree(grid):
+        built.append(grid.maze_id)
+        return maze_tree(grid)
+
+    monkeypatch.setattr(cli, "maze_tree", counting_maze_tree)
+    assert main(["simulate", "--config", str(config), "--out", str(run)]) == 0
+    maze_of = {row["game_id"]: row["maze_id"] for row in _read_rows(out / "games.csv")}
+    sessions = [json.loads(line) for line in (run / "sessions.jsonl").open()][1:]
+    played = {maze_of[s["game_id"]] for s in sessions}
+    library = set(maze_of.values())
+    assert played < library
+    # every library maze is checked once; a played maze's tables are built once more
+    assert Counter(built) == Counter(library) + Counter(played)
 
 
 def test_early_stages_are_deterministic(workdir, tmp_path):

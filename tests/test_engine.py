@@ -21,6 +21,7 @@ from segforge.engine import (
     CurriculumComplete,
     EmptyPool,
     ImperfectMaze,
+    MazeTree,
     PlayerProfile,
     SessionRecord,
     UnknownMaterial,
@@ -31,6 +32,7 @@ from segforge.engine import (
     maze_tree,
     next_material,
     practice_session,
+    practice_tree,
     run_session,
     score,
     select_game,
@@ -66,13 +68,13 @@ _LEVEL_PARAMS = {
 
 
 def _build_world():
-    """A tiny but fully wired library plus its maze store."""
+    """A tiny but fully wired library plus its mazes' routing tables."""
     mazes = {}
     features = {}
     for i in range(3):
         maze_id = f"m{i:04d}"
         grid = generate_maze(77 + i, width=11, height=11, maze_id=maze_id)
-        mazes[maze_id] = grid
+        mazes[maze_id] = maze_tree(grid)
         features[maze_id] = extract_features(grid)
 
     compounds = [_compound(1, "H2O"), _compound(2, "CO2")]
@@ -295,32 +297,37 @@ def small_grid():
     return generate_maze(77, width=11, height=11, maze_id="m0000")
 
 
+@pytest.fixture(scope="module")
+def small_tree(small_grid):
+    return maze_tree(small_grid)
+
+
 EASY_PARAMS = GameParams("g-e", "m0000", enemy_type=0, total_enemy=2, total_bullets=3)
 
 
-def test_bot_is_deterministic(small_grid):
-    a = bot_simulate(small_grid, EASY_PARAMS, "greedy", seed=11)
-    b = bot_simulate(small_grid, EASY_PARAMS, "greedy", seed=11)
+def test_bot_is_deterministic(small_tree):
+    a = bot_simulate(small_tree, EASY_PARAMS, "greedy", seed=11)
+    b = bot_simulate(small_tree, EASY_PARAMS, "greedy", seed=11)
     assert a == b
-    c = bot_simulate(small_grid, EASY_PARAMS, "random", seed=11)
-    d = bot_simulate(small_grid, EASY_PARAMS, "random", seed=11)
+    c = bot_simulate(small_tree, EASY_PARAMS, "random", seed=11)
+    d = bot_simulate(small_tree, EASY_PARAMS, "random", seed=11)
     assert c == d
 
 
-def test_bot_seeds_differ(small_grid):
-    logs = {bot_simulate(small_grid, EASY_PARAMS, "random", seed=s).events for s in range(5)}
+def test_bot_seeds_differ(small_tree):
+    logs = {bot_simulate(small_tree, EASY_PARAMS, "random", seed=s).events for s in range(5)}
     assert len(logs) > 1
 
 
-def test_bot_rejects_unknown_policy(small_grid):
+def test_bot_rejects_unknown_policy(small_tree):
     with pytest.raises(ValueError):
-        bot_simulate(small_grid, EASY_PARAMS, "perfect", seed=0)
+        bot_simulate(small_tree, EASY_PARAMS, "perfect", seed=0)
 
 
-def test_bot_respects_time_and_tallies(small_grid):
+def test_bot_respects_time_and_tallies(small_tree):
     for seed in range(30):
         for policy in ("random", "greedy"):
-            result = bot_simulate(small_grid, EASY_PARAMS, policy, seed)
+            result = bot_simulate(small_tree, EASY_PARAMS, policy, seed)
             assert 1 <= result.duration <= 90
             assert all(c >= 0 for c in result.tally.positives)
             assert all(c >= 0 for c in result.tally.negatives)
@@ -329,18 +336,18 @@ def test_bot_respects_time_and_tallies(small_grid):
                 assert result.tally.positives[0] >= 10
 
 
-def test_bot_wins_and_loses_somewhere(small_grid):
-    outcomes = {bot_simulate(small_grid, EASY_PARAMS, "greedy", s).victory for s in range(60)}
+def test_bot_wins_and_loses_somewhere(small_tree):
+    outcomes = {bot_simulate(small_tree, EASY_PARAMS, "greedy", s).victory for s in range(60)}
     assert outcomes == {True, False}
 
 
-def test_greedy_beats_random_on_easy_games(small_grid):
+def test_greedy_beats_random_on_easy_games(small_tree):
     seeds = range(100)
     greedy = statistics.mean(
-        score(bot_simulate(small_grid, EASY_PARAMS, "greedy", s).tally) for s in seeds
+        score(bot_simulate(small_tree, EASY_PARAMS, "greedy", s).tally) for s in seeds
     )
     rand = statistics.mean(
-        score(bot_simulate(small_grid, EASY_PARAMS, "random", s).tally) for s in seeds
+        score(bot_simulate(small_tree, EASY_PARAMS, "random", s).tally) for s in seeds
     )
     assert greedy > rand
 
@@ -362,7 +369,47 @@ def test_bot_matches_the_bfs_simulator(
     grid = generate_maze(maze_seed, width, height)
     params = GameParams("g", grid.maze_id, enemy_type, total_enemy, total_bullets)
     expected = bfs_engine.bot_simulate(grid, params, policy, seed)
-    assert bot_simulate(grid, params, policy, seed) == expected
+    assert bot_simulate(maze_tree(grid), params, policy, seed) == expected
+
+
+def _tables(tree: MazeTree) -> tuple:
+    """Everything play could change in ``tree``'s tables, order included."""
+    return (
+        tree.cells,
+        tree.path_cells,
+        list(tree.adjacent.items()),
+        list(tree.parent.items()),
+        list(tree.depth.items()),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    maze_seed=st.integers(0, 10**6),
+    width=st.integers(2, 15).map(lambda n: 2 * n + 1),
+    height=st.integers(2, 15).map(lambda n: 2 * n + 1),
+    games=st.lists(
+        st.tuples(
+            st.sampled_from(["greedy", "random"]),
+            st.sampled_from([0, 1]),
+            st.integers(0, 8),
+            st.integers(0, 5),
+            st.integers(0, 2**32),
+        ),
+        min_size=2,
+        max_size=6,
+    ),
+)
+def test_games_sharing_one_tree_match_fresh_tables(maze_seed, width, height, games):
+    grid = generate_maze(maze_seed, width, height)
+    tree = maze_tree(grid)
+    before = _tables(tree)
+    for policy, enemy_type, total_enemy, total_bullets, seed in games:
+        params = GameParams("g", grid.maze_id, enemy_type, total_enemy, total_bullets)
+        result = bot_simulate(tree, params, policy, seed)
+        assert result == bot_simulate(maze_tree(grid), params, policy, seed)
+        assert result == bfs_engine.bot_simulate(grid, params, policy, seed)
+    assert _tables(tree) == before
 
 
 def _grid(*rows: str) -> MazeGrid:
@@ -386,13 +433,16 @@ ISLAND_GRID = _grid(
 
 @pytest.mark.parametrize("grid", [LOOP_GRID, ISLAND_GRID], ids=["loop", "island"])
 def test_bot_rejects_a_maze_that_is_not_a_tree(grid):
+    # a bot plays only on a MazeTree, which such a maze cannot have
     with pytest.raises(ImperfectMaze, match="'hand' is not a perfect maze"):
-        bot_simulate(grid, EASY_PARAMS, "greedy", seed=0)
+        maze_tree(grid)
 
 
 def test_maze_tree_spans_every_path_cell(small_grid):
-    path_cells, adjacent, parent, depth = maze_tree(small_grid)
-    assert path_cells == sorted(path_cells, key=lambda c: (c[1], c[0]))
+    tree = maze_tree(small_grid)
+    path_cells, adjacent, parent, depth = tree.path_cells, tree.adjacent, tree.parent, tree.depth
+    assert tree.maze_id == small_grid.maze_id and tree.cells is small_grid.cells
+    assert list(path_cells) == sorted(path_cells, key=lambda c: (c[1], c[0]))
     assert set(adjacent) == set(depth) == set(path_cells)
     assert set(parent) == set(path_cells) - {path_cells[0]}
     for cell, up in parent.items():
@@ -400,33 +450,43 @@ def test_maze_tree_spans_every_path_cell(small_grid):
     for (x, y), neighbors in adjacent.items():
         order = [(x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)]
         assert list(neighbors) == [c for c in order if c in adjacent]
+    # one tuple object per cell, shared by every table
+    canonical = {id(cell) for cell in path_cells}
+    assert len(canonical) == len(path_cells)
+    assert {id(c) for neighbors in adjacent.values() for c in neighbors} <= canonical
+    assert {id(c) for c in (*adjacent, *parent, *parent.values(), *depth)} <= canonical
 
 
 # ===== Practice sessions =====
 
 
-def test_practice_sets_mastery_consistently():
+@pytest.fixture(scope="module")
+def practice_maze():
+    return practice_tree()
+
+
+def test_practice_sets_mastery_consistently(practice_maze):
     profile = PlayerProfile("p1")
-    record = practice_session(profile, "greedy", seed=3)
+    record = practice_session(profile, practice_maze, "greedy", seed=3)
     assert record.difficulty == "practice"
     assert record.compound_id == 0
     assert profile.mastery is assess_level(record.score)
 
 
-def test_practice_reassesses_every_run():
+def test_practice_reassesses_every_run(practice_maze):
     profile = PlayerProfile("p1", mastery=Difficulty.HARD)
     weak_seed = next(
         s
         for s in range(50)
-        if practice_session(PlayerProfile("x"), "random", seed=s).score < 3.0
+        if practice_session(PlayerProfile("x"), practice_maze, "random", seed=s).score < 3.0
     )
-    practice_session(profile, "random", seed=weak_seed)
+    practice_session(profile, practice_maze, "random", seed=weak_seed)
     assert profile.mastery is Difficulty.EASY
 
 
-def test_practice_is_deterministic():
-    a = practice_session(PlayerProfile("p1"), "greedy", seed=9)
-    b = practice_session(PlayerProfile("p2"), "greedy", seed=9)
+def test_practice_is_deterministic(practice_maze):
+    a = practice_session(PlayerProfile("p1"), practice_maze, "greedy", seed=9)
+    b = practice_session(PlayerProfile("p2"), practice_tree(), "greedy", seed=9)
     assert a.score == b.score
     assert a.events == b.events
 
