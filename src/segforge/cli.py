@@ -4,6 +4,10 @@ Stages write their artifacts into a working directory (``--out``, or the
 ``SEGFORGE_DIR`` environment variable) and read the previous stage's files
 from the same place. Every artifact embeds the effective config hash so a
 stage can warn when its inputs were produced under different settings.
+
+``STAGE_TABLE`` declares the stages in pipeline order, each with its
+``run_*`` function, the files it writes and its own flags; the subcommands,
+dispatch and the stage a missing input names derive from it.
 """
 
 from __future__ import annotations
@@ -16,13 +20,14 @@ import logging
 import os
 import sys
 import tempfile
-from dataclasses import fields
+from dataclasses import dataclass, field, fields
 from operator import attrgetter, itemgetter
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .clustering import ClusterSummary, ThresholdCandidate, search_threshold, summarize
-from .config import ConfigInvalid, PipelineConfig, default_config_text, load_config
+from .config import PipelineConfig, default_config_text, load_config
 from .contentspace import (
     FEATURE_NAMES,
     LEVELS,
@@ -64,7 +69,6 @@ from .mapping import (
 
 logger = logging.getLogger(__name__)
 
-STAGES = ("annotate", "gen-space", "categorize", "cluster", "map", "simulate", "analyze")
 GAME_COLUMNS = tuple(f.name for f in fields(GameRecord))
 SPACE_COLUMNS = tuple(c for c in GAME_COLUMNS if c != "difficulty")
 # clusters.csv: the ClusterSummary fields, the centroid spread over one
@@ -111,10 +115,11 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _require(path: Path, producing_stage: str) -> None:
+def _require(path: Path, artifact: str | None = None) -> None:
     if not path.is_file():
+        producer = _PRODUCERS[artifact or path.name]
         raise MissingPrerequisite(
-            f"{path.name} not found in {path.parent}; run the {producing_stage!r} stage first"
+            f"{path.name} not found in {path.parent}; run the {producer!r} stage first"
         )
 
 
@@ -141,26 +146,27 @@ def _malformed(path: Path, line: int, exc: Exception) -> MalformedArtifact:
     return MalformedArtifact(f"{path.name} line {line}: {type(exc).__name__}: {exc}")
 
 
-def _read_csv(path: Path, config_hash: str, producing_stage: str, convert) -> list:
+def _read_csv(path: Path, config_hash: str, convert) -> list:
     """``convert`` applied to each data row of a stage CSV, passed as a
-    column -> text dict; a row that does not convert names its line."""
-    _require(path, producing_stage)
+    column -> text dict; a line that does not decode or convert names its number."""
+    _require(path)
     found = None
     numbers: list[int] = []
     body: list[str] = []
-    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if line.startswith("#"):
-            if "config_hash=" in line:
-                found = line.split("config_hash=", 1)[1].strip()
-        elif line:
-            numbers.append(number)
-            body.append(line)
-    _check_hash(found, config_hash, path)
-    rows = csv.reader(body)
-    header = next(rows, [])
     records = []
     number = 0
     try:
+        for number, raw in enumerate(path.read_bytes().splitlines(), 1):
+            line = raw.decode("utf-8")
+            if line.startswith("#"):
+                if "config_hash=" in line:
+                    found = line.split("config_hash=", 1)[1].strip()
+            elif line:
+                numbers.append(number)
+                body.append(line)
+        _check_hash(found, config_hash, path)
+        rows = csv.reader(body)
+        header = next(rows, [])
         for number, values in zip(numbers[1:], rows):
             if len(values) != len(header):
                 raise ValueError(f"{len(values)} fields under a {len(header)}-column header")
@@ -176,32 +182,36 @@ def _row_parser(cls: type):
     return lambda row: cls(*[parse(row[name]) for name, parse in parsers])
 
 
-def _jsonl_text(meta: dict, lines: list[str]) -> str:
-    return "\n".join([json.dumps(meta, sort_keys=False)] + lines) + "\n"
+def _write_jsonl(path: Path, meta: dict, lines: list[str]) -> None:
+    """A meta line tagged with the file's stem, then ``lines``."""
+    head = json.dumps({"artifact": path.stem, **meta}, sort_keys=False)
+    _atomic_write(path, "\n".join([head] + lines) + "\n")
 
 
 def _read_jsonl(
-    path: Path, config_hash: str, producing_stage: str, artifact: str, convert=None
+    path: Path, config_hash: str, convert=None, artifact: str | None = None
 ) -> tuple[dict, list]:
     """The meta line and the records of a stage JSONL file, ``convert``
     applied to each record; a line that does not parse names its number, and
-    line 1 must be the meta line of an ``artifact`` file."""
-    _require(path, producing_stage)
+    line 1 must be the meta line of ``artifact`` (by default ``path``'s file)."""
+    _require(path, artifact)
+    tag = Path(artifact or path.name).stem
     records: list = []
     meta: dict = {}
     number = 0
-    with path.open(encoding="utf-8") as handle:
+    # each line decoded on its own, so a byte that is not UTF-8 names its line
+    with path.open("rb") as handle:
         try:
-            for number, line in enumerate(handle, 1):
-                line = line.strip()
+            for number, raw in enumerate(handle, 1):
+                line = raw.decode("utf-8").strip()
                 if not line and number > 1:
                     continue
                 data = json.loads(line)
                 if not isinstance(data, dict):
                     raise TypeError(f"a JSON {type(data).__name__}, not an object")
                 if number == 1:
-                    if data.get("artifact") != artifact:
-                        raise ValueError(f"not the meta line of a {artifact!r} file")
+                    if data.get("artifact") != tag:
+                        raise ValueError(f"not the meta line of a {tag!r} file")
                     meta = data
                 else:
                     records.append(data if convert is None else convert(data))
@@ -274,15 +284,8 @@ def run_annotate(config: PipelineConfig, out: Path) -> None:
     annotations = annotate_dataset(
         config.compounds_path or None, config.table_path or None
     )
-    meta = {
-        "artifact": "annotations",
-        "config_hash": config.config_hash(),
-        "count": len(annotations),
-    }
-    _atomic_write(
-        out / "annotations.jsonl",
-        _jsonl_text(meta, [a.to_json_line() for a in annotations]),
-    )
+    meta = {"config_hash": config.config_hash(), "count": len(annotations)}
+    _write_jsonl(out / "annotations.jsonl", meta, [a.to_json_line() for a in annotations])
     logger.info("annotated %d compounds", len(annotations))
 
 
@@ -295,16 +298,13 @@ def run_gen_space(config: PipelineConfig, out: Path) -> None:
     config_hash = config.config_hash()
 
     meta = {
-        "artifact": "mazes",
         "config_hash": config_hash,
         "count": len(mazes),
         "width": config.maze_width,
         "height": config.maze_height,
     }
-    _atomic_write(
-        out / "mazes.jsonl",
-        _jsonl_text(meta, [maze_record_json(m, features[m.maze_id]) for m in mazes]),
-    )
+    records = [maze_record_json(m, features[m.maze_id]) for m in mazes]
+    _write_jsonl(out / "mazes.jsonl", meta, records)
 
     rows = []
     for game in games:
@@ -327,7 +327,7 @@ def run_categorize(config: PipelineConfig, out: Path) -> None:
         game(row)
         return [row[c] for c in GAME_COLUMNS]
 
-    out_rows = _read_csv(out / "space.csv", config_hash, "gen-space", categorized)
+    out_rows = _read_csv(out / "space.csv", config_hash, categorized)
     _atomic_write(out / "games.csv", _csv_text(config_hash, GAME_COLUMNS, out_rows))
     logger.info("categorized %d games", len(out_rows))
 
@@ -383,25 +383,14 @@ def run_cluster(config: PipelineConfig, out: Path) -> None:
     )
 
 
-def _load_annotations(out: Path, config_hash: str) -> list[CompoundAnnotation]:
-    _, records = _read_jsonl(
-        out / "annotations.jsonl",
-        config_hash,
-        "annotate",
-        "annotations",
-        lambda record: CompoundAnnotation(**record),
-    )
-    return records
-
-
 def _load_games(out: Path, config_hash: str) -> list[GameRecord]:
-    return _read_csv(out / "games.csv", config_hash, "categorize", _row_parser(GameRecord))
+    return _read_csv(out / "games.csv", config_hash, _row_parser(GameRecord))
 
 
 def _load_summaries(out: Path, config_hash: str) -> list[ClusterSummary]:
     members: dict[str, list[str]] = {}
     pairs = itemgetter("cluster_id", "game_id")
-    for cluster_id, game_id in _read_csv(out / "membership.csv", config_hash, "cluster", pairs):
+    for cluster_id, game_id in _read_csv(out / "membership.csv", config_hash, pairs):
         members.setdefault(cluster_id, []).append(game_id)
 
     scalars = [(f.name, _PARSERS[f.type]) for f in _SUMMARY_SCALARS]
@@ -413,12 +402,14 @@ def _load_summaries(out: Path, config_hash: str) -> list[ClusterSummary]:
             member_game_ids=tuple(sorted(members.get(row["cluster_id"], ()))),
         )
 
-    return _read_csv(out / "clusters.csv", config_hash, "cluster", summary)
+    return _read_csv(out / "clusters.csv", config_hash, summary)
 
 
 def run_map(config: PipelineConfig, out: Path, export_plots: bool = False) -> None:
     config_hash = config.config_hash()
-    compounds = _load_annotations(out, config_hash)
+    _, compounds = _read_jsonl(
+        out / "annotations.jsonl", config_hash, lambda record: CompoundAnnotation(**record)
+    )
     games = _load_games(out, config_hash)
     summaries = _load_summaries(out, config_hash)
     by_level = {
@@ -480,13 +471,11 @@ def _per_level(counts: dict[str, int]) -> str:
     return ", ".join(f"{level} {count}" for level, count in counts.items())
 
 
-def run_simulate(config: PipelineConfig, out: Path, recycle: bool = False) -> None:
+def run_simulate(config: PipelineConfig, out: Path) -> None:
     config_hash = config.config_hash()
-    _require(out / "library.sqlite", "map")
+    _require(out / "library.sqlite")
     library = load_library(str(out / "library.sqlite"), expected_config_hash=config_hash)
-    _, decoded = _read_jsonl(
-        out / "mazes.jsonl", config_hash, "gen-space", "mazes", maze_from_record
-    )
+    _, decoded = _read_jsonl(out / "mazes.jsonl", config_hash, maze_from_record)
     stored = {grid.maze_id: (grid, features) for grid, features in decoded}
     games_on: dict[str, list[GameRecord]] = {}
     for game in library.games:
@@ -505,7 +494,6 @@ def run_simulate(config: PipelineConfig, out: Path, recycle: bool = False) -> No
     trees = _PlayedTrees({maze_id: grid for maze_id, (grid, _) in stored.items()})
     practice_maze = practice_tree()
 
-    recycle = recycle or config.sim_recycle
     session_lines: list[str] = []
     event_lines: list[str] = []
 
@@ -540,7 +528,7 @@ def run_simulate(config: PipelineConfig, out: Path, recycle: bool = False) -> No
                     trees,
                     config.sim_policy,
                     seed,
-                    recycle=recycle,
+                    recycle=config.sim_recycle,
                     positive_weights=config.positive_weights,
                     negative_weights=config.negative_weights,
                 )
@@ -570,14 +558,8 @@ def run_simulate(config: PipelineConfig, out: Path, recycle: bool = False) -> No
         "sessions_per_player": config.sim_sessions,
         "policy": config.sim_policy,
     }
-    _atomic_write(
-        out / "sessions.jsonl",
-        _jsonl_text({"artifact": "sessions", **base_meta}, session_lines),
-    )
-    _atomic_write(
-        out / "events.jsonl",
-        _jsonl_text({"artifact": "events", **base_meta}, event_lines),
-    )
+    _write_jsonl(out / "sessions.jsonl", base_meta, session_lines)
+    _write_jsonl(out / "events.jsonl", base_meta, event_lines)
     logger.info(
         "simulated %d sessions (%d victories) for %d players; recycled: %s; "
         "pools exhausted: %s",
@@ -607,7 +589,7 @@ def run_analyze(config: PipelineConfig, out: Path, sessions_path: str | None = N
         seen.add(key)
         return record
 
-    _, records = _read_jsonl(path, config_hash, "simulate", "sessions", session)
+    _, records = _read_jsonl(path, config_hash, session, artifact="sessions.jsonl")
     analysis = analyze_sessions(
         records,
         ci_level=config.stats_ci_level,
@@ -630,23 +612,37 @@ def run_analyze(config: PipelineConfig, out: Path, sessions_path: str | None = N
 # ===== Entry point =====
 
 
-def _run_stage(stage: str, config: PipelineConfig, out: Path, args: argparse.Namespace) -> None:
-    if stage == "annotate":
-        run_annotate(config, out)
-    elif stage == "gen-space":
-        run_gen_space(config, out)
-    elif stage == "categorize":
-        run_categorize(config, out)
-    elif stage == "cluster":
-        run_cluster(config, out)
-    elif stage == "map":
-        run_map(config, out, export_plots=args.export_plots)
-    elif stage == "simulate":
-        run_simulate(config, out, recycle=args.recycle)
-    elif stage == "analyze":
-        run_analyze(config, out, sessions_path=getattr(args, "sessions", None))
-    else:
-        raise ConfigInvalid(f"unknown stage {stage!r}")
+@dataclass(frozen=True)
+class _Stage:
+    """A stage's function, the files it writes and its flags by ``run`` keyword."""
+
+    run: Callable[..., None]
+    writes: tuple[str, ...]
+    flags: dict[str, tuple[str, dict]] = field(default_factory=dict)
+    in_pipeline: bool = False  # ``segforge pipeline`` takes the flags too
+
+
+_PLOTS_HELP = "also write per-level N and S curve CSVs"
+STAGE_TABLE = {
+    "annotate": _Stage(run_annotate, ("annotations.jsonl",)),
+    "gen-space": _Stage(run_gen_space, ("mazes.jsonl", "space.csv")),
+    "categorize": _Stage(run_categorize, ("games.csv",)),
+    "cluster": _Stage(run_cluster, ("clusters.csv", "membership.csv", "threshold_log.csv")),
+    "map": _Stage(
+        run_map,
+        ("library.sqlite", "library.json", "mapping_N.csv", "mapping_S.csv"),
+        {"export_plots": ("--export-plots", {"action": "store_true", "help": _PLOTS_HELP})},
+        in_pipeline=True,
+    ),
+    "simulate": _Stage(run_simulate, ("sessions.jsonl", "events.jsonl")),
+    "analyze": _Stage(
+        run_analyze,
+        ("report.txt", "report_numbers.csv"),
+        {"sessions_path": ("--sessions", {"metavar": "PATH", "help": "sessions.jsonl to read"})},
+    ),
+}
+STAGES = tuple(STAGE_TABLE)
+_PRODUCERS = {name: stage for stage, entry in STAGE_TABLE.items() for name in entry.writes}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -656,7 +652,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"segforge {__version__}")
     subparsers = parser.add_subparsers(dest="stage", required=True, metavar="stage")
-    for name in STAGES + ("pipeline",):
+    commands = {name: [entry] for name, entry in STAGE_TABLE.items()}
+    commands["pipeline"] = [entry for entry in STAGE_TABLE.values() if entry.in_pipeline]
+    for name, entries in commands.items():
         sub = subparsers.add_parser(name, help=f"run the {name} stage")
         sub.add_argument("--config", default=None, help="path to a key=value config file")
         sub.add_argument(
@@ -667,21 +665,9 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--seed", type=int, default=None, help="override space, cluster and sim seeds"
         )
-        sub.add_argument(
-            "--recycle",
-            action="store_true",
-            help="reopen exhausted game clusters during simulation",
-        )
-        sub.add_argument(
-            "--export-plots",
-            action="store_true",
-            dest="export_plots",
-            help="also write per-level N and S curve CSVs during map",
-        )
-        if name == "analyze":
-            sub.add_argument(
-                "--sessions", default=None, help="session summaries to analyze"
-            )
+        for entry in entries:
+            for keyword, (option, settings) in entry.flags.items():
+                sub.add_argument(option, dest=keyword, **settings)
     init = subparsers.add_parser("init-config", help="print a commented default config")
     init.add_argument("--config", default=None, help="write the template to this path")
     return parser
@@ -710,10 +696,10 @@ def main(argv: list[str] | None = None) -> int:
         config = load_config(args.config, overrides)
         out = Path(args.out or os.environ.get("SEGFORGE_DIR") or "segforge_out")
         out.mkdir(parents=True, exist_ok=True)
-        stages = STAGES if args.stage == "pipeline" else (args.stage,)
+        stages = STAGE_TABLE.values() if args.stage == "pipeline" else [STAGE_TABLE[args.stage]]
         with _WorkspaceLock(out):
             for stage in stages:
-                _run_stage(stage, config, out, args)
+                stage.run(config, out, **{k: v for k, v in vars(args).items() if k in stage.flags})
     except SegforgeError as exc:
         print(f"segforge {args.stage}: {exc}", file=sys.stderr)
         return 1

@@ -337,7 +337,8 @@ def refine_to_k(clusters: list[Cluster], k: int) -> list[Cluster]:
         nn_dist[start:end] = dist[rows, idx]
     np.maximum(nn_dist, 0.0, out=nn_dist)
 
-    def recompute_row(i: int) -> None:
+    def recompute_row(i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Refresh row i's nearest neighbour; return the other live rows and their distances."""
         targets = np.flatnonzero(alive)
         targets = targets[targets != i]
         diffs = cents[targets] - cents[i]
@@ -346,6 +347,7 @@ def refine_to_k(clusters: list[Cluster], k: int) -> list[Cluster]:
         nn_idx[i] = targets[pos]
         nn_dist[i] = dist[pos]
         nn_gen[i] = gen[targets[pos]]
+        return targets, dist
 
     remaining = n
     while remaining > k:
@@ -377,14 +379,7 @@ def refine_to_k(clusters: list[Cluster], k: int) -> list[Cluster]:
         if remaining == k:
             break
 
-        targets = np.flatnonzero(alive)
-        targets = targets[targets != a]
-        diffs = cents[targets] - cents[a]
-        dist = np.einsum("ij,ij->i", diffs, diffs)
-        pos = int(np.argmin(dist))
-        nn_idx[a] = targets[pos]
-        nn_dist[a] = dist[pos]
-        nn_gen[a] = gen[targets[pos]]
+        targets, dist = recompute_row(a)
         # The merged centroid may now be someone's nearest neighbour.
         closer = dist < nn_dist[targets]
         hit = targets[closer]

@@ -176,7 +176,11 @@ def load_config(
         file_path = Path(path)
         if not file_path.is_file():
             raise ConfigInvalid(f"config file not found: {file_path}")
-        raw.update(_parse_lines(file_path.read_text(encoding="utf-8"), str(file_path)))
+        try:
+            text = file_path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigInvalid(f"{file_path}: not UTF-8 text ({exc})") from None
+        raw.update(_parse_lines(text, str(file_path)))
     for key, value in (overrides or {}).items():
         if key not in _KEYS:
             raise ConfigInvalid(f"unknown override key {key!r}")

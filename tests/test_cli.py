@@ -520,6 +520,95 @@ def test_missing_prerequisite_fails_cleanly(tmp_path, capsys):
     assert "categorize" in err
 
 
+@pytest.mark.parametrize(
+    "stage, name, producer",
+    [
+        ("categorize", "space.csv", "gen-space"),
+        ("cluster", "games.csv", "categorize"),
+        ("map", "annotations.jsonl", "annotate"),
+        ("map", "games.csv", "categorize"),
+        ("map", "clusters.csv", "cluster"),
+        ("map", "membership.csv", "cluster"),
+        ("simulate", "library.sqlite", "map"),
+        ("simulate", "mazes.jsonl", "gen-space"),
+        ("analyze", "sessions.jsonl", "simulate"),
+    ],
+)
+def test_missing_input_names_its_producer(workdir, tmp_path, capsys, stage, name, producer):
+    config, out = workdir
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    (run / name).unlink()
+    assert main([stage, "--config", str(config), "--out", str(run)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == f"segforge {stage}: {name} not found in {run}; run the {producer!r} stage first"
+
+
+def test_missing_sessions_override_names_simulate(workdir, tmp_path, capsys):
+    config, _ = workdir
+    moved = tmp_path / "moved-sessions.jsonl"
+    argv = ["analyze", "--config", str(config), "--out", str(tmp_path / "o")]
+    assert main(argv + ["--sessions", str(moved)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == (
+        f"segforge analyze: moved-sessions.jsonl not found in {tmp_path}; "
+        "run the 'simulate' stage first"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["annotate", "--export-plots"],
+        ["cluster", "--sessions", "x"],
+        ["simulate", "--recycle"],
+        ["pipeline", "--sessions", "x"],
+    ],
+    ids=["annotate-export-plots", "cluster-sessions", "simulate-recycle", "pipeline-sessions"],
+)
+def test_flag_of_another_stage_is_a_usage_error(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_csv_that_is_not_utf8_fails_cleanly(workdir, tmp_path, capsys):
+    config, out = workdir
+    broken = tmp_path / "bytes"
+    broken.mkdir()
+    data = (out / "games.csv").read_bytes()
+    (broken / "games.csv").write_bytes(data + b"\xff\xfe")
+    assert main(["cluster", "--config", str(config), "--out", str(broken)]) == 1
+    last_line = data.count(b"\n") + 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert f"games.csv line {last_line}: UnicodeDecodeError" in err
+
+
+def test_jsonl_decode_error_names_its_line(workdir, tmp_path, capsys):
+    config, out = workdir
+    broken = tmp_path / "bytes"
+    shutil.copytree(out, broken)
+    data = (out / "annotations.jsonl").read_bytes()
+    assert data.count(b"\n") == 101  # meta line and 100 compounds
+    (broken / "annotations.jsonl").write_bytes(data + b"\xff\n")
+    assert main(["map", "--config", str(config), "--out", str(broken)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "annotations.jsonl line 102: UnicodeDecodeError" in err
+
+
+def test_config_that_is_not_utf8_fails_cleanly(tmp_path, capsys):
+    config = tmp_path / "bytes.conf"
+    config.write_bytes(b"maze.count = 24\n\xff\n")
+    assert main(["annotate", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert str(config) in err and "UTF-8" in err
+
+
 def test_bad_config_fails_cleanly(tmp_path, capsys):
     config = tmp_path / "bad.conf"
     config.write_text("maze.cont = 5\n")

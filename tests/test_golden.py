@@ -13,7 +13,7 @@ import hashlib
 
 import pytest
 
-from segforge.cli import main
+from segforge.cli import STAGE_TABLE, main
 
 GOLDEN_CONFIG = "maze.count = 54\n"
 
@@ -55,3 +55,8 @@ def test_run_directory_holds_exactly_the_golden_files(golden_run):
 def test_artifact_matches_golden_digest(golden_run, name):
     digest = hashlib.sha256((golden_run / name).read_bytes()).hexdigest()
     assert digest == GOLDEN_SHA256[name], name
+
+
+def test_stage_table_declares_each_golden_file_once():
+    declared = [name for stage in STAGE_TABLE.values() for name in stage.writes]
+    assert sorted(declared) == sorted(GOLDEN_SHA256)
