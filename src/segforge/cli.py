@@ -384,7 +384,15 @@ def run_cluster(config: PipelineConfig, out: Path) -> None:
 
 
 def _load_games(out: Path, config_hash: str) -> list[GameRecord]:
-    return _read_csv(out / "games.csv", config_hash, _row_parser(GameRecord))
+    parse = _row_parser(GameRecord)
+
+    def game(row: dict[str, str]) -> GameRecord:
+        record = parse(row)
+        if record.difficulty not in LEVELS:
+            raise ValueError(f"difficulty {record.difficulty!r} is not one of {LEVELS}")
+        return record
+
+    return _read_csv(out / "games.csv", config_hash, game)
 
 
 def _load_summaries(out: Path, config_hash: str) -> list[ClusterSummary]:
@@ -427,10 +435,10 @@ def run_map(config: PipelineConfig, out: Path, export_plots: bool = False) -> No
     save_library(library, str(out / "library.sqlite"))
     _atomic_write(out / "library.json", export_json(library))
     if export_plots:
-        n_csv, s_csv = export_level_curves(library)
-        prefix = f"# config_hash={config_hash}\n"
-        _atomic_write(out / "mapping_N.csv", prefix + n_csv)
-        _atomic_write(out / "mapping_S.csv", prefix + s_csv)
+        n_rows, s_rows = export_level_curves(library)
+        header = ("compound_id",) + LEVELS
+        _atomic_write(out / "mapping_N.csv", _csv_text(config_hash, header, n_rows))
+        _atomic_write(out / "mapping_S.csv", _csv_text(config_hash, header, s_rows))
     logger.info(
         "deployed %d compounds x %d levels over %d clusters",
         len(compounds),
@@ -677,15 +685,18 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
 
-    if args.stage == "init-config":
-        text = default_config_text()
-        if args.config:
-            _atomic_write(Path(args.config), text)
-        else:
-            sys.stdout.write(text)
-        return 0
-
     try:
+        if args.stage == "init-config":
+            text = default_config_text()
+            if args.config:
+                try:
+                    _atomic_write(Path(args.config), text)
+                except OSError as exc:
+                    raise SegforgeError(f"cannot write {args.config}: {exc.strerror}") from None
+            else:
+                sys.stdout.write(text)
+            return 0
+
         overrides: dict[str, str] = {}
         if args.seed is not None:
             overrides = {
@@ -695,7 +706,10 @@ def main(argv: list[str] | None = None) -> int:
             }
         config = load_config(args.config, overrides)
         out = Path(args.out or os.environ.get("SEGFORGE_DIR") or "segforge_out")
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise SegforgeError(f"cannot create directory {out}: {exc.strerror}") from None
         stages = STAGE_TABLE.values() if args.stage == "pipeline" else [STAGE_TABLE[args.stage]]
         with _WorkspaceLock(out):
             for stage in stages:

@@ -78,21 +78,13 @@ class ClusteringFeature:
         n = self.n
         return tuple(l / n for l in self.ls)
 
-    def radius(self) -> float:
-        """RMS distance of member points from the centroid.
+    def radius_with_point(self, point: tuple[float, ...]) -> float:
+        """RMS distance of member points from the centroid once the cluster
+        has absorbed ``point``.
 
         Per-dimension variances are clamped at zero; accumulated float error
         can push them a hair negative for tight clusters.
         """
-        n = self.n
-        total = 0.0
-        for l, s in zip(self.ls, self.ss):
-            mean = l / n
-            total += max(s / n - mean * mean, 0.0)
-        return math.sqrt(total)
-
-    def radius_with_point(self, point: tuple[float, ...]) -> float:
-        """Radius the cluster would have after absorbing ``point``."""
         n = self.n + 1
         total = 0.0
         for l, s, x in zip(self.ls, self.ss, point):

@@ -1,14 +1,18 @@
 """Survey statistics: proportion z-tests, intervals and the 2x2 crosstab.
 
-The normal CDF and its inverse are implemented locally with well-known
-rational approximations (Cody's erfc, Acklam's quantile with a Halley
-polish) so results do not depend on platform math libraries beyond exp/log.
+The normal distribution is the standard library's ``statistics.NormalDist``.
+Its quantile, ``inv_cdf`` (Wichura's AS241), is pure Python over ``log`` and
+``sqrt``, so the interval bounds written to artifacts depend on the platform
+no more than those two functions do. Its ``cdf`` goes through the platform's
+``erf``, but p-values reach artifacts only through the five-decimal
+:func:`render_p_value`, so a last-bit difference there cannot show.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 from .errors import SegforgeError
 
@@ -22,181 +26,11 @@ DEFAULT_MIN_TRIALS = 30
 # p-values below this render as "0.00000" in reports
 _P_DISPLAY_FLOOR = 1e-5
 
+_STANDARD_NORMAL = NormalDist()
+
 
 class InsufficientSample(SegforgeError):
     """Too few trials for the normal approximation to hold."""
-
-
-# ===== Normal distribution =====
-
-# Coefficients for erf/erfc rational approximations (Cody, 1969); three
-# argument regions, each accurate to well below 1e-15 relative error.
-_ERF_A = (
-    3.16112374387056560e00,
-    1.13864154151050156e02,
-    3.77485237685302021e02,
-    3.20937758913846947e03,
-    1.85777706184603153e-1,
-)
-_ERF_B = (
-    2.36012909523441209e01,
-    2.44024637934444173e02,
-    1.28261652607737228e03,
-    2.84423683343917062e03,
-)
-_ERF_C = (
-    5.64188496988670089e-1,
-    8.88314979438837594e00,
-    6.61191906371416295e01,
-    2.98635138197400131e02,
-    8.81952221241769090e02,
-    1.71204761263407058e03,
-    2.05107837782607147e03,
-    1.23033935479799725e03,
-    2.15311535474403846e-8,
-)
-_ERF_D = (
-    1.57449261107098347e01,
-    1.17693950891312499e02,
-    5.37181101862009858e02,
-    1.62138957456669019e03,
-    3.29079923573345963e03,
-    4.36261909014324716e03,
-    3.43936767414372164e03,
-    1.23033935480374942e03,
-)
-_ERF_P = (
-    3.05326634961232344e-1,
-    3.60344899949804439e-1,
-    1.25781726111229246e-1,
-    1.60837851487422766e-2,
-    6.58749161529837803e-4,
-    1.63153871373020978e-2,
-)
-_ERF_Q = (
-    2.56852019228982242e00,
-    1.87295284992346047e00,
-    5.27905102951428412e-1,
-    6.05183413124413191e-2,
-    2.33520497626869185e-3,
-)
-_ONE_OVER_SQRT_PI = 5.6418958354775628695e-1
-_ERF_THRESHOLD = 0.46875
-
-
-def _erfc_scaled_tail(y: float) -> float:
-    """erfc(y) for y > threshold via the two rational tail expansions."""
-    if y <= 4.0:
-        num = _ERF_C[8] * y
-        den = y
-        for i in range(7):
-            num = (num + _ERF_C[i]) * y
-            den = (den + _ERF_D[i]) * y
-        result = (num + _ERF_C[7]) / (den + _ERF_D[7])
-    else:
-        if y >= 26.5:
-            return 0.0
-        inv_sq = 1.0 / (y * y)
-        num = _ERF_P[5] * inv_sq
-        den = inv_sq
-        for i in range(4):
-            num = (num + _ERF_P[i]) * inv_sq
-            den = (den + _ERF_Q[i]) * inv_sq
-        result = inv_sq * (num + _ERF_P[4]) / (den + _ERF_Q[4])
-        result = (_ONE_OVER_SQRT_PI - result) / y
-    # split the exponential to preserve precision in exp(-y*y)
-    y_trunc = math.floor(y * 16.0) / 16.0
-    delta = (y - y_trunc) * (y + y_trunc)
-    return math.exp(-y_trunc * y_trunc) * math.exp(-delta) * result
-
-
-def _erfc(x: float) -> float:
-    y = abs(x)
-    if y <= _ERF_THRESHOLD:
-        z = y * y
-        num = _ERF_A[4] * z
-        den = z
-        for i in range(3):
-            num = (num + _ERF_A[i]) * z
-            den = (den + _ERF_B[i]) * z
-        erf = x * (num + _ERF_A[3]) / (den + _ERF_B[3])
-        return 1.0 - erf
-    tail = _erfc_scaled_tail(y)
-    return 2.0 - tail if x < 0 else tail
-
-
-def normal_cdf(z: float) -> float:
-    """Standard normal distribution function Phi(z)."""
-    if math.isnan(z):
-        raise ValueError("z must be a finite real")
-    return 0.5 * _erfc(-z / math.sqrt(2.0))
-
-
-def normal_pdf(z: float) -> float:
-    return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-
-
-# Acklam's inverse-normal coefficients (central and tail regions)
-_PPF_A = (
-    -3.969683028665376e01,
-    2.209460984245205e02,
-    -2.759285104469687e02,
-    1.383577518672690e02,
-    -3.066479806614716e01,
-    2.506628277459239e00,
-)
-_PPF_B = (
-    -5.447609879822406e01,
-    1.615858368580409e02,
-    -1.556989798598866e02,
-    6.680131188771972e01,
-    -1.328068155288572e01,
-)
-_PPF_C = (
-    -7.784894002430293e-03,
-    -3.223964580411365e-01,
-    -2.400758277161838e00,
-    -2.549732539343734e00,
-    4.374664141464968e00,
-    2.938163982698783e00,
-)
-_PPF_D = (
-    7.784695709041462e-03,
-    3.224671290700398e-01,
-    2.445134137142996e00,
-    3.754408661907416e00,
-)
-_PPF_LOW = 0.02425
-
-
-def normal_ppf(p: float) -> float:
-    """Standard normal quantile, the inverse of :func:`normal_cdf`."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie strictly between 0 and 1, got {p}")
-    if p < _PPF_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (
-            ((((_PPF_C[0] * q + _PPF_C[1]) * q + _PPF_C[2]) * q + _PPF_C[3]) * q + _PPF_C[4]) * q
-            + _PPF_C[5]
-        ) / ((((_PPF_D[0] * q + _PPF_D[1]) * q + _PPF_D[2]) * q + _PPF_D[3]) * q + 1.0)
-    elif p <= 1.0 - _PPF_LOW:
-        q = p - 0.5
-        r = q * q
-        x = (
-            (((((_PPF_A[0] * r + _PPF_A[1]) * r + _PPF_A[2]) * r + _PPF_A[3]) * r + _PPF_A[4]) * r + _PPF_A[5])
-            * q
-            / (((((_PPF_B[0] * r + _PPF_B[1]) * r + _PPF_B[2]) * r + _PPF_B[3]) * r + _PPF_B[4]) * r + 1.0)
-        )
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -(
-            ((((_PPF_C[0] * q + _PPF_C[1]) * q + _PPF_C[2]) * q + _PPF_C[3]) * q + _PPF_C[4]) * q
-            + _PPF_C[5]
-        ) / ((((_PPF_D[0] * q + _PPF_D[1]) * q + _PPF_D[2]) * q + _PPF_D[3]) * q + 1.0)
-    # one Halley step drives the approximation to machine precision
-    err = normal_cdf(x) - p
-    u = err / normal_pdf(x)
-    return x - u / (1.0 + x * u / 2.0)
 
 
 # ===== Proportion z-test =====
@@ -245,23 +79,23 @@ def proportion_ztest(
 
     p_hat = x / n
     z = (p_hat - pi0) / math.sqrt(pi0 * (1.0 - pi0) / n)
-    p_less = normal_cdf(z)
+    p_less = _STANDARD_NORMAL.cdf(z)
     if alternative == "less":
         p_value = p_less
     elif alternative == "greater":
         p_value = 1.0 - p_less
     else:
-        p_value = min(1.0, 2.0 * (1.0 - normal_cdf(abs(z))))
+        p_value = min(1.0, 2.0 * (1.0 - _STANDARD_NORMAL.cdf(abs(z))))
 
     se_hat = math.sqrt(p_hat * (1.0 - p_hat) / n)
     alpha = 1.0 - ci_level
     if alternative == "two-sided":
-        margin = normal_ppf(1.0 - alpha / 2.0) * se_hat
+        margin = _STANDARD_NORMAL.inv_cdf(1.0 - alpha / 2.0) * se_hat
         ci = (p_hat - margin, p_hat + margin)
     elif alternative == "greater":
-        ci = (p_hat - normal_ppf(1.0 - alpha) * se_hat, 1.0)
+        ci = (p_hat - _STANDARD_NORMAL.inv_cdf(1.0 - alpha) * se_hat, 1.0)
     else:
-        ci = (0.0, p_hat + normal_ppf(1.0 - alpha) * se_hat)
+        ci = (0.0, p_hat + _STANDARD_NORMAL.inv_cdf(1.0 - alpha) * se_hat)
 
     return ZTestResult(
         x=x,

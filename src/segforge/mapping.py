@@ -411,22 +411,16 @@ def export_json(library: ContentLibrary) -> str:
     return json.dumps(payload, sort_keys=True, indent=1)
 
 
-def export_level_curves(library: ContentLibrary) -> tuple[str, str]:
-    """Per-compound cluster size (N) and spread (S) curves as CSV text.
+def export_level_curves(library: ContentLibrary) -> tuple[list[tuple], list[tuple]]:
+    """Per-compound cluster size (N) and spread (S) curves as table rows.
 
-    Returns the pair (n_csv, s_csv); columns are compound_id then one column
-    per difficulty level.
+    Returns the pair (n_rows, s_rows); each row is the compound id followed
+    by one value per difficulty level, in ``LEVELS`` order.
     """
-    header = ",".join(("compound_id",) + LEVELS)
-    n_lines = [header]
-    s_lines = [header]
+    n_rows = []
+    s_rows = []
     for compound in sorted(library.compounds, key=lambda c: c.compound_id):
-        sizes = []
-        spreads = []
-        for level in LEVELS:
-            cluster = library.cluster_for(compound.compound_id, level)
-            sizes.append(str(cluster.n))
-            spreads.append(repr(cluster.s))
-        n_lines.append(f"{compound.compound_id},{','.join(sizes)}")
-        s_lines.append(f"{compound.compound_id},{','.join(spreads)}")
-    return "\n".join(n_lines) + "\n", "\n".join(s_lines) + "\n"
+        clusters = [library.cluster_for(compound.compound_id, level) for level in LEVELS]
+        n_rows.append((compound.compound_id, *(c.n for c in clusters)))
+        s_rows.append((compound.compound_id, *(c.s for c in clusters)))
+    return n_rows, s_rows

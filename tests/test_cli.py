@@ -383,6 +383,25 @@ def test_games_table_missing_a_column_fails_cleanly(workdir, tmp_path, capsys):
     assert "games.csv line 3" in err and "total_path" in err
 
 
+@pytest.mark.parametrize("stage", ["cluster", "map"])
+def test_game_with_unknown_difficulty_fails_cleanly(workdir, tmp_path, capsys, stage):
+    config, out = workdir
+    broken = tmp_path / "eazy"
+    broken.mkdir()
+    for name in ("annotations.jsonl", "clusters.csv", "membership.csv"):
+        shutil.copy(out / name, broken / name)
+    lines = (out / "games.csv").read_text().splitlines()
+    column = lines[1].split(",").index("difficulty")
+    rows = [line.split(",") for line in lines]
+    number = next(i for i, row in enumerate(rows[2:], 2) if row[column] == "easy")
+    rows[number][column] = "eazy"
+    (broken / "games.csv").write_text("\n".join(",".join(row) for row in rows) + "\n")
+    assert main([stage, "--config", str(config), "--out", str(broken)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert f"games.csv line {number + 1}" in err and "'eazy'" in err
+
+
 @pytest.mark.parametrize(
     "lines, bad_line",
     [
@@ -697,3 +716,22 @@ def test_init_config_template_is_loadable(tmp_path, capsys):
     target = tmp_path / "template.conf"
     assert main(["init-config", "--config", str(target)]) == 0
     assert main(["annotate", "--config", str(target), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_init_config_into_a_missing_directory_fails_cleanly(tmp_path, capsys):
+    target = tmp_path / "no_such_dir" / "x.cfg"
+    assert main(["init-config", "--config", str(target)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert str(target) in err
+    assert not target.parent.exists()
+
+
+def test_out_that_is_a_file_fails_cleanly(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("not a directory\n")
+    assert main(["annotate", "--out", str(target)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert str(target) in err
+    assert target.read_text() == "not a directory\n"

@@ -169,20 +169,24 @@ def test_cf_accumulates_count_sum_and_squares() -> None:
 
 def test_cf_radius_of_unit_pair_is_half() -> None:
     cf = ClusteringFeature.from_point((0.0,))
-    cf.add_point((1.0,))
-    assert cf.radius() == pytest.approx(0.5)
+    assert cf.radius_with_point((1.0,)) == pytest.approx(0.5)
 
 
 def test_cf_radius_clamps_negative_variance_to_zero() -> None:
-    cf = ClusteringFeature(2, [2.0], [2.0 - 1e-12])
-    assert cf.radius() == 0.0
+    # merged sums n=2, ls=2, ss=2-1e-12: variance -5e-13 before the clamp
+    cf = ClusteringFeature(1, [1.0], [1.0 - 1e-12])
+    assert cf.radius_with_point((1.0,)) == 0.0
 
 
 def test_cf_merged_radius_matches_actual_merge() -> None:
-    cf = ClusteringFeature.from_point((0.0, 0.0))
-    preview = cf.radius_with_point((1.0, 1.0))
-    cf.add_point((1.0, 1.0))
-    assert preview == pytest.approx(cf.radius())
+    points = [(0.0, 0.0), (1.0, 1.0), (3.0, -2.0)]
+    cf = ClusteringFeature.from_point(points[0])
+    cf.add_point(points[1])
+    preview = cf.radius_with_point(points[2])
+    cf.add_point(points[2])
+    centre = cf.centroid()
+    spread = sum(math.dist(p, centre) ** 2 for p in points) / len(points)
+    assert preview == pytest.approx(math.sqrt(spread))
 
 
 # ===== Tree insertion =====

@@ -1,4 +1,4 @@
-"""Tests for the normal approximations, z-tests and the crosstab."""
+"""Tests for the proportion z-tests, their intervals and the crosstab."""
 
 from __future__ import annotations
 
@@ -14,73 +14,10 @@ from segforge.gamestats import (
     analyze_sessions,
     crosstab,
     format_report,
-    normal_cdf,
-    normal_pdf,
-    normal_ppf,
     proportion_ztest,
     render_p_value,
     report_rows,
 )
-
-
-# ===== Normal distribution =====
-
-
-def _reference_cdf(z: float) -> float:
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
-
-
-def test_cdf_matches_erfc_reference_closely():
-    z = -8.0
-    while z <= 8.0:
-        assert abs(normal_cdf(z) - _reference_cdf(z)) <= 1e-10
-        z += 0.0137
-
-
-def test_cdf_known_points():
-    assert normal_cdf(0.0) == 0.5
-    assert abs(normal_cdf(2.576) - 0.995) < 1e-4
-    assert normal_cdf(-8.0) < 1e-15
-    assert normal_cdf(8.0) > 1.0 - 1e-15
-
-
-def test_cdf_rejects_nan():
-    with pytest.raises(ValueError):
-        normal_cdf(float("nan"))
-
-
-@given(st.floats(-30, 30), st.floats(-30, 30))
-def test_cdf_is_monotone(a, b):
-    lo, hi = min(a, b), max(a, b)
-    assert normal_cdf(lo) <= normal_cdf(hi)
-
-
-@given(st.floats(-10, 10))
-def test_cdf_symmetry(z):
-    assert abs(normal_cdf(z) + normal_cdf(-z) - 1.0) < 1e-14
-
-
-def test_ppf_known_quantiles():
-    assert abs(normal_ppf(0.5)) < 1e-15
-    assert abs(normal_ppf(0.995) - 2.5758293035489004) < 1e-12
-    assert abs(normal_ppf(0.975) - 1.959963984540054) < 1e-12
-    assert abs(normal_ppf(0.99) - 2.3263478740408408) < 1e-12
-
-
-def test_ppf_round_trips_through_cdf():
-    for i in range(-60, 61):
-        z = i / 10.0
-        assert abs(normal_ppf(normal_cdf(z)) - z) < 5e-8
-
-
-@pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1])
-def test_ppf_domain(p):
-    with pytest.raises(ValueError):
-        normal_ppf(p)
-
-
-def test_pdf_is_standard_normal_density():
-    assert abs(normal_pdf(0.0) - 1.0 / math.sqrt(2 * math.pi)) < 1e-15
 
 
 # ===== Proportion z-test =====
@@ -101,6 +38,15 @@ def test_fun_reports_walds_interval():
     lo, hi = result.ci
     assert abs(lo - 0.59905) < 5e-4
     assert abs(hi - 0.70466) < 5e-4
+
+
+@pytest.mark.parametrize("x, n", [(352, 540), (9, 39)])
+def test_one_sided_bound_uses_the_correctly_rounded_quantile(x, n):
+    # 2.3263478740408408: the correctly rounded quantile of the double nearest 0.99
+    result = proportion_ztest(x, n, alternative="greater")
+    p_hat = x / n
+    se = math.sqrt(p_hat * (1.0 - p_hat) / n)
+    assert result.ci[0] == p_hat - 2.3263478740408408 * se
 
 
 def test_exact_null_gives_unit_p():

@@ -29,7 +29,7 @@ GOLDEN_SHA256 = {
     "mazes.jsonl": "e3afa478d0b984f8c72368615b46e3174a0e2703483e576d0eca5700d3d32c74",
     "membership.csv": "578b432ef8ef9a2693f531858e899dd41bbcaee0b4f2caa257c40fa0865e1b7c",
     "report.txt": "680527d74836531533c9c0afc8bc957eca61b0f5f354cf9113bbc795523b3a54",
-    "report_numbers.csv": "3a55ff64bfe555e075b5f9a1e6116098843c4774034f215b2063423c9a4c611a",
+    "report_numbers.csv": "86b94203fbbde67a6936c4e7a9efe2be865a775eb2d4805aa09ab8e52264cf7e",
     "sessions.jsonl": "52217fcc1c68d86d3f232350009c78dd4af4861aeac6440fead2e1baf374c619",
     "space.csv": "86e1448493804a2465c0f2d4c3a1c685319480953cb2336dea192850793a3a2b",
     "threshold_log.csv": "a79571b53afc9d6434e131cd02a78fd2ec3218817a17057faaa20403030c14cc",

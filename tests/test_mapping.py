@@ -357,11 +357,8 @@ def test_load_warns_on_config_hash_mismatch(tmp_path, caplog) -> None:
 
 
 def test_level_curves_have_one_row_per_compound() -> None:
-    n_csv, s_csv = export_level_curves(_tiny_library())
-    n_rows = n_csv.strip().splitlines()
-    s_rows = s_csv.strip().splitlines()
-    assert n_rows[0] == "compound_id,easy,medium,hard"
-    assert len(n_rows) == 3 and len(s_rows) == 3
-    assert n_rows[1] == "1,1,1,1"
-    assert n_rows[2] == "2,2,2,2"
-    assert s_rows[1] == "1,0.5,0.5,0.5"
+    n_rows, s_rows = export_level_curves(_tiny_library())
+    assert len(n_rows) == 2 and len(s_rows) == 2
+    assert n_rows[0] == (1, 1, 1, 1)
+    assert n_rows[1] == (2, 2, 2, 2)
+    assert s_rows[0] == (1, 0.5, 0.5, 0.5)
