@@ -385,11 +385,15 @@ def run_cluster(config: PipelineConfig, out: Path) -> None:
 
 def _load_games(out: Path, config_hash: str) -> list[GameRecord]:
     parse = _row_parser(GameRecord)
+    seen: set[str] = set()
 
     def game(row: dict[str, str]) -> GameRecord:
         record = parse(row)
         if record.difficulty not in LEVELS:
             raise ValueError(f"difficulty {record.difficulty!r} is not one of {LEVELS}")
+        if record.game_id in seen:
+            raise ValueError(f"game_id {record.game_id!r} repeats an earlier row")
+        seen.add(record.game_id)
         return record
 
     return _read_csv(out / "games.csv", config_hash, game)

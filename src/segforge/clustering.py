@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, replace
+from itertools import repeat
+from operator import add, truediv
 
 import numpy as np
 
@@ -21,6 +23,9 @@ from .errors import SegforgeError
 DEFAULT_BRANCHING = 2
 DEFAULT_THRESHOLD_GRID = (0.005, 0.01, 0.02, 0.04, 0.08)
 DEFAULT_SILHOUETTE_SAMPLE = 2000
+# Stale rows are refreshed in chunks whose difference block holds at most
+# this many floats (1 MiB).
+_REFRESH_FLOATS = 1 << 17
 
 
 class DimensionMismatch(SegforgeError):
@@ -50,10 +55,6 @@ class ClusteringFeature:
         self.ss = ss
 
     @classmethod
-    def zero(cls, dim: int) -> "ClusteringFeature":
-        return cls(0, [0.0] * dim, [0.0] * dim)
-
-    @classmethod
     def from_point(cls, point: tuple[float, ...]) -> "ClusteringFeature":
         return cls(1, list(point), [x * x for x in point])
 
@@ -62,46 +63,11 @@ class ClusteringFeature:
 
     def add(self, other: "ClusteringFeature") -> None:
         self.n += other.n
-        ls, ss = self.ls, self.ss
-        for d, (l, s) in enumerate(zip(other.ls, other.ss)):
-            ls[d] += l
-            ss[d] += s
-
-    def add_point(self, point: tuple[float, ...]) -> None:
-        self.n += 1
-        ls, ss = self.ls, self.ss
-        for d, x in enumerate(point):
-            ls[d] += x
-            ss[d] += x * x
+        self.ls = list(map(add, self.ls, other.ls))
+        self.ss = list(map(add, self.ss, other.ss))
 
     def centroid(self) -> tuple[float, ...]:
-        n = self.n
-        return tuple(l / n for l in self.ls)
-
-    def radius_with_point(self, point: tuple[float, ...]) -> float:
-        """RMS distance of member points from the centroid once the cluster
-        has absorbed ``point``.
-
-        Per-dimension variances are clamped at zero; accumulated float error
-        can push them a hair negative for tight clusters.
-        """
-        n = self.n + 1
-        total = 0.0
-        for l, s, x in zip(self.ls, self.ss, point):
-            l += x
-            s += x * x
-            mean = l / n
-            total += max(s / n - mean * mean, 0.0)
-        return math.sqrt(total)
-
-    def distance_to_point(self, point: tuple[float, ...]) -> float:
-        """Squared Euclidean distance from the centroid to ``point``."""
-        n = self.n
-        total = 0.0
-        for l, x in zip(self.ls, point):
-            diff = l / n - x
-            total += diff * diff
-        return total
+        return tuple(map(truediv, self.ls, repeat(self.n)))
 
 
 class _Entry:
@@ -146,10 +112,12 @@ class CFTree:
     def insert(self, point: tuple[float, ...], tag: str) -> None:
         """Route a tagged point to its closest leaf entry.
 
-        The point is absorbed into the nearest leaf entry when the merged
-        radius stays within the threshold, otherwise it opens a new entry.
-        Nodes that exceed the branching factor split around their farthest
-        entry pair, and splits propagate upward.
+        Each node is descended through its entry with the nearest centroid
+        (squared Euclidean distance; the first entry wins a tie). The point
+        is absorbed into the nearest leaf entry when the merged RMS radius
+        stays within the threshold, otherwise it opens a new entry. Nodes
+        that exceed the branching factor split around their farthest entry
+        pair, and splits propagate upward.
         """
         if self.dim is None:
             self.dim = len(point)
@@ -157,59 +125,114 @@ class CFTree:
             raise DimensionMismatch(f"expected {self.dim}-dim point, got {len(point)}")
         if self.root is None:
             self.root = _Node(is_leaf=True)
-        split = self._insert(self.root, point, tag)
-        if split is not None:
-            new_root = _Node(is_leaf=False)
-            new_root.entries.extend(split)
-            self.root = new_root
+        path: list[tuple[_Node, _Entry]] = []  # inner nodes and the entry taken
+        node = self.root
+        while True:
+            best = None
+            for entry in node.entries:
+                cf = entry.cf
+                n = cf.n
+                d = 0.0
+                if best is None:
+                    for l, x in zip(cf.ls, point):
+                        diff = l / n - x
+                        d += diff * diff
+                    best, best_d = entry, d
+                    continue
+                # Partial sums never fall, so once one reaches best_d this
+                # entry cannot be strictly nearer: the first of a tie wins.
+                for l, x in zip(cf.ls, point):
+                    diff = l / n - x
+                    d += diff * diff
+                    if d >= best_d:
+                        break
+                else:
+                    if d < best_d:
+                        best, best_d = entry, d
+            if node.is_leaf:
+                break
+            path.append((node, best))
+            node = best.child
 
-    def _insert(
-        self, node: _Node, point: tuple[float, ...], tag: str
-    ) -> tuple[_Entry, _Entry] | None:
-        if node.is_leaf:
-            if node.entries:
-                best = min(node.entries, key=lambda e: e.cf.distance_to_point(point))
-                radius = best.cf.radius_with_point(point)
-                if radius <= self.threshold:
-                    best.cf.add_point(point)
-                    best.members.append(tag)
-                    return None
-                self.min_refused = min(self.min_refused, radius)
-            node.entries.append(_Entry(ClusteringFeature.from_point(point), members=[tag]))
-        else:
-            best = min(node.entries, key=lambda e: e.cf.distance_to_point(point))
-            split = self._insert(best.child, point, tag)
+        sq = [x * x for x in point]
+        split = None
+        if best is not None:
+            cf = best.cf
+            n = cf.n + 1
+            ls = list(map(add, cf.ls, point))
+            ss = list(map(add, cf.ss, sq))
+            total = 0.0
+            for l, s in zip(ls, ss):
+                mean = l / n
+                variance = s / n - mean * mean
+                # Accumulated float error can push a tight cluster's
+                # variance a hair negative.
+                total += 0.0 if variance < 0.0 else variance
+            radius = math.sqrt(total)
+            if radius <= self.threshold:
+                cf.n = n
+                cf.ls[:] = ls
+                cf.ss[:] = ss
+                best.members.append(tag)
+            else:
+                if radius < self.min_refused:
+                    self.min_refused = radius
+                best = None  # refused: the point opens an entry of its own
+        if best is None:
+            node.entries.append(_Entry(ClusteringFeature(1, list(point), sq), members=[tag]))
+            if len(node.entries) > self.branching:
+                split = self._split(node)
+        for inner, entry in reversed(path):
             if split is None:
-                best.cf.add_point(point)
-                return None
-            node.entries.remove(best)
-            node.entries.extend(split)
-        if len(node.entries) > self.branching:
-            return self._split(node)
-        return None
+                cf = entry.cf
+                cf.n += 1
+                # In place: the lists stay where the entry's other data is.
+                cf.ls[:] = map(add, cf.ls, point)
+                cf.ss[:] = map(add, cf.ss, sq)
+            else:
+                inner.entries.remove(entry)
+                inner.entries.extend(split)
+                split = self._split(inner) if len(inner.entries) > self.branching else None
+        if split is not None:
+            self.root = _Node(is_leaf=False)
+            self.root.entries.extend(split)
 
     def _split(self, node: _Node) -> tuple[_Entry, _Entry]:
         entries = node.entries
-        seed_a, seed_b = _farthest_pair(entries)
+        count = len(entries)
+        centroids = [list(map(truediv, e.cf.ls, repeat(e.cf.n))) for e in entries]
+        # Squared centroid distances; symmetric, since fl(x - y) == -fl(y - x).
+        dist = [[0.0] * count for _ in range(count)]
+        far, seed_a, seed_b = -1.0, 0, 1
+        for i in range(count):
+            for j in range(i + 1, count):
+                d = 0.0
+                for x, y in zip(centroids[i], centroids[j]):
+                    diff = x - y
+                    d += diff * diff
+                dist[i][j] = dist[j][i] = d
+                if d > far:
+                    far, seed_a, seed_b = d, i, j
         left = _Node(node.is_leaf)
         right = _Node(node.is_leaf)
-        centroid_a = entries[seed_a].cf.centroid()
-        centroid_b = entries[seed_b].cf.centroid()
         for index, entry in enumerate(entries):
             if index == seed_a:
                 left.entries.append(entry)
             elif index == seed_b:
                 right.entries.append(entry)
+            elif dist[index][seed_a] <= dist[index][seed_b]:
+                left.entries.append(entry)
             else:
-                centroid = entry.cf.centroid()
-                if _sqdist(centroid, centroid_a) <= _sqdist(centroid, centroid_b):
-                    left.entries.append(entry)
-                else:
-                    right.entries.append(entry)
-        return (
-            _Entry(_sum_cfs(left.entries, self.dim), child=left),
-            _Entry(_sum_cfs(right.entries, self.dim), child=right),
-        )
+                right.entries.append(entry)
+        halves = []
+        for half in (left, right):
+            # Summed from a copy of the first entry, not from zero, since
+            # 0.0 + x == x (only a -0.0 would come out +0.0 from zero).
+            total = half.entries[0].cf.copy()
+            for entry in half.entries[1:]:
+                total.add(entry.cf)
+            halves.append(_Entry(total, child=half))
+        return halves[0], halves[1]
 
     def leaf_entries(self) -> list[_Entry]:
         """All leaf entries in stable left-to-right traversal order."""
@@ -227,44 +250,58 @@ class CFTree:
         return out
 
 
-def _sqdist(a: tuple[float, ...], b: tuple[float, ...]) -> float:
-    total = 0.0
-    for x, y in zip(a, b):
-        diff = x - y
-        total += diff * diff
-    return total
-
-
-def _farthest_pair(entries: list[_Entry]) -> tuple[int, int]:
-    centroids = [entry.cf.centroid() for entry in entries]
-    best = (-1.0, 0, 1)
-    for i in range(len(centroids)):
-        for j in range(i + 1, len(centroids)):
-            d = _sqdist(centroids[i], centroids[j])
-            if d > best[0]:
-                best = (d, i, j)
-    return best[1], best[2]
-
-
-def _sum_cfs(entries: list[_Entry], dim: int) -> ClusteringFeature:
-    total = ClusteringFeature.zero(dim)
-    for entry in entries:
-        total.add(entry.cf)
-    return total
-
-
 def build_tree(
     points: list[tuple[float, ...]],
     tags: list[str],
     threshold: float,
     branching: int = DEFAULT_BRANCHING,
 ) -> CFTree:
-    """Insert tagged points in ascending tag order for reproducible trees."""
+    """Insert tagged points in ascending tag order for reproducible trees.
+
+    A column that holds the same integer value c in every point (the same
+    bits, and small enough that c * c * len(points) stays below 2**53) adds
+    exactly 0.0 to every distance and radius, since every sum of it is
+    exact. The tree is built without such columns, and each entry's sums
+    are then widened back to full width with n * c and n * (c * c), the
+    values the entry would have summed itself.
+    """
     if len(points) != len(tags):
         raise ValueError("points and tags must align")
     tree = CFTree(threshold=threshold, branching=branching)
-    for index in sorted(range(len(tags)), key=lambda i: tags[i]):
-        tree.insert(points[index], tags[index])
+    order = sorted(range(len(tags)), key=tags.__getitem__)
+    if not order:
+        return tree
+    dim = len(points[order[0]])
+    for index in order:
+        if len(points[index]) != dim:
+            raise DimensionMismatch(f"expected {dim}-dim point, got {len(points[index])}")
+    data = np.array(points, dtype=float)
+    bits = data.view(np.int64)
+    first = data[0].tolist()
+    limit = 2.0**53 / len(points)
+    constant = {
+        d: c
+        for d, c in enumerate(first)
+        if (bits[:, d] == bits[0, d]).all() and c.is_integer() and c * c <= limit
+    }
+    if not constant:
+        for index in order:
+            tree.insert(points[index], tags[index])
+        return tree
+    narrow = data[:, [d for d in range(dim) if d not in constant]].tolist()
+    for index in order:
+        tree.insert(narrow[index], tags[index])
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        for entry in node.entries:
+            cf = entry.cf
+            for d, c in constant.items():
+                cf.ls.insert(d, cf.n * c)
+                cf.ss.insert(d, cf.n * (c * c))
+            if entry.child is not None:
+                stack.append(entry.child)
+    tree.dim = dim
     return tree
 
 
@@ -308,9 +345,14 @@ def refine_to_k(clusters: list[Cluster], k: int) -> list[Cluster]:
     n = len(work)
     cfs = [c.cf.copy() for c in work]
     cents = np.array([cf.centroid() for cf in cfs], dtype=float)
-    alive = np.ones(n, dtype=bool)
+    dim = cents.shape[1]
     parent = list(range(n))
-    # Cached nearest neighbours; a generation counter per slot detects rows
+    # Row r of the arrays below is cluster slot slots[r]. Dead rows are
+    # dropped once half are dead; the rest keep their slot order, so the
+    # lowest-row tie rule stays the lowest-id rule.
+    slots = np.arange(n)
+    alive = np.ones(n, dtype=bool)
+    # Cached nearest neighbours; a generation counter per row detects rows
     # whose cached target centroid has since moved.
     nn_dist = np.full(n, np.inf)
     nn_idx = np.zeros(n, dtype=np.int64)
@@ -329,30 +371,35 @@ def refine_to_k(clusters: list[Cluster], k: int) -> list[Cluster]:
         nn_dist[start:end] = dist[rows, idx]
     np.maximum(nn_dist, 0.0, out=nn_dist)
 
-    def recompute_row(i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Refresh row i's nearest neighbour; return the other live rows and their distances."""
-        targets = np.flatnonzero(alive)
-        targets = targets[targets != i]
-        diffs = cents[targets] - cents[i]
-        dist = np.einsum("ij,ij->i", diffs, diffs)
-        pos = int(np.argmin(dist))
-        nn_idx[i] = targets[pos]
-        nn_dist[i] = dist[pos]
-        nn_gen[i] = gen[targets[pos]]
-        return targets, dist
+    def refresh(stale: np.ndarray) -> None:
+        """Refresh the nearest neighbour of each stale row, in chunks.
+
+        einsum sums each row of the difference block on its own, so a
+        row's distances do not depend on the rows around it. A row's
+        distance to itself is set to inf; to a dead row it is inf already.
+        """
+        step = max(1, _REFRESH_FLOATS // max(1, cents.size))
+        for start in range(0, stale.size, step):
+            chunk = stale[start : start + step]
+            rows = np.arange(chunk.size)
+            diffs = (cents[None, :, :] - cents[chunk][:, None, :]).reshape(-1, dim)
+            dist = np.einsum("ij,ij->i", diffs, diffs).reshape(chunk.size, -1)
+            dist[rows, chunk] = np.inf
+            pos = np.argmin(dist, axis=1)
+            nn_idx[chunk] = pos
+            nn_dist[chunk] = dist[rows, pos]
+            nn_gen[chunk] = gen[pos]
 
     remaining = n
     while remaining > k:
         # Select the closest pair; refresh any stale rows that surface.
         while True:
-            i = int(np.argmin(nn_dist))
-            d = nn_dist[i]
+            d = nn_dist.min()
             ties = np.flatnonzero(nn_dist == d)
             targets = nn_idx[ties]
-            stale = ties[~alive[targets] | (nn_gen[ties] != gen[targets])]
+            stale = ties[nn_gen[ties] != gen[targets]]
             if stale.size:
-                for t in stale:
-                    recompute_row(int(t))
+                refresh(stale)
                 continue
             # Lowest (min id, max id) pair among the tied rows.
             low = np.minimum(ties, targets)
@@ -361,23 +408,46 @@ def refine_to_k(clusters: list[Cluster], k: int) -> list[Cluster]:
             b = int(high[low == a].min())
             break
 
-        cfs[a].add(cfs[b])
-        cents[a] = cfs[a].centroid()
+        slot_a, slot_b = int(slots[a]), int(slots[b])
+        cfs[slot_a].add(cfs[slot_b])
+        cents[a] = cfs[slot_a].centroid()
+        # A dead row's centroid is inf, so its distance to any row is inf.
+        cents[b] = np.inf
         gen[a] += 1
+        gen[b] += 1  # rows that cached b are stale now
         alive[b] = False
-        parent[b] = a
+        parent[slot_b] = slot_a
         nn_dist[b] = np.inf
         remaining -= 1
         if remaining == k:
             break
 
-        targets, dist = recompute_row(a)
+        diffs = cents - cents[a]
+        dist = np.einsum("ij,ij->i", diffs, diffs)
+        dist[a] = np.inf
+        j = int(dist.argmin())
+        nn_idx[a] = j
+        nn_dist[a] = dist[j]
+        nn_gen[a] = gen[j]
         # The merged centroid may now be someone's nearest neighbour.
-        closer = dist < nn_dist[targets]
-        hit = targets[closer]
-        nn_dist[hit] = dist[closer]
-        nn_idx[hit] = a
-        nn_gen[hit] = gen[a]
+        closer = dist < nn_dist
+        np.copyto(nn_dist, dist, where=closer)
+        np.copyto(nn_idx, a, where=closer)
+        np.copyto(nn_gen, gen[a], where=closer)
+
+        if 2 * remaining <= slots.size:
+            keep = np.flatnonzero(alive)
+            row_of = np.full(slots.size, -1, dtype=np.int64)
+            row_of[keep] = np.arange(keep.size)
+            nn_idx = row_of[nn_idx[keep]]
+            nn_gen = nn_gen[keep]
+            # A row whose cached neighbour is gone stays stale: no row has
+            # generation -1.
+            gone = nn_idx < 0
+            nn_gen[gone] = -1
+            nn_idx[gone] = 0
+            slots, cents, nn_dist, gen = slots[keep], cents[keep], nn_dist[keep], gen[keep]
+            alive = np.ones(keep.size, dtype=bool)
 
     def find_root(slot: int) -> int:
         while parent[slot] != slot:
@@ -385,15 +455,13 @@ def refine_to_k(clusters: list[Cluster], k: int) -> list[Cluster]:
             slot = parent[slot]
         return slot
 
-    member_lists: dict[int, list[str]] = {
-        slot: [] for slot in range(n) if alive[slot]
-    }
+    live = slots[alive].tolist()
+    member_lists: dict[int, list[str]] = {slot: [] for slot in live}
     for slot, cluster in enumerate(work):
         member_lists[find_root(slot)].extend(cluster.members)
     return [
         Cluster(cluster_id=work[slot].cluster_id, cf=cfs[slot], members=tuple(member_lists[slot]))
-        for slot in range(n)
-        if alive[slot]
+        for slot in live
     ]
 
 

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from segforge.cli import main
-from segforge.clustering import CFTree, ClusteringFeature, search_threshold, silhouette
+from segforge.clustering import CFTree, search_threshold, silhouette
 from segforge.contentspace import (
     Difficulty,
     GameParams,
@@ -40,6 +40,8 @@ from segforge.knowledge import (
     parse_compound_line,
 )
 from segforge.mapping import load_library
+
+import cftree_reference as reference
 
 LEVELS = ("easy", "medium", "hard")
 STAGES = ("annotate", "gen-space", "categorize", "cluster", "map", "simulate", "analyze")
@@ -218,7 +220,7 @@ def _check_tree_invariants(tree: CFTree, points_by_tag: dict[str, tuple[float, .
                 assert entry.child is None
                 assert entry.cf.n == len(entry.members)
                 seen.extend(entry.members)
-                expected = ClusteringFeature.zero(tree.dim)
+                expected = reference.ClusteringFeature.zero(tree.dim)
                 for tag in entry.members:
                     expected.add_point(points_by_tag[tag])
                 for d in range(tree.dim):
@@ -227,7 +229,7 @@ def _check_tree_invariants(tree: CFTree, points_by_tag: dict[str, tuple[float, .
             else:
                 child = entry.child
                 assert child is not None and child.entries
-                total = ClusteringFeature.zero(tree.dim)
+                total = reference.ClusteringFeature.zero(tree.dim)
                 for sub in child.entries:
                     total.add(sub.cf)
                 assert entry.cf.n == total.n

@@ -402,6 +402,26 @@ def test_game_with_unknown_difficulty_fails_cleanly(workdir, tmp_path, capsys, s
     assert f"games.csv line {number + 1}" in err and "'eazy'" in err
 
 
+@pytest.mark.parametrize("stage", ["cluster", "map"])
+def test_repeated_game_id_fails_cleanly(workdir, tmp_path, capsys, stage):
+    # A repeated row would count its game twice in a cluster, and map
+    # would then break the library's unique game ids.
+    config, out = workdir
+    broken = tmp_path / "twice"
+    broken.mkdir()
+    for name in ("annotations.jsonl", "clusters.csv", "membership.csv"):
+        shutil.copy(out / name, broken / name)
+    lines = (out / "games.csv").read_text().splitlines()
+    column = lines[1].split(",").index("game_id")
+    copied = lines[5]
+    (broken / "games.csv").write_text("\n".join(lines + [copied]) + "\n")
+    assert main([stage, "--config", str(config), "--out", str(broken)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    game_id = copied.split(",")[column]
+    assert f"games.csv line {len(lines) + 1}" in err and repr(game_id) in err
+
+
 @pytest.mark.parametrize(
     "lines, bad_line",
     [

@@ -29,6 +29,8 @@ from segforge.clustering import (
     summarize,
 )
 
+import cftree_reference as reference
+
 # ===== Reference implementations (kept deliberately naive) =====
 
 
@@ -135,7 +137,7 @@ def _check_tree(tree: CFTree, points_by_tag: dict[str, tuple[float, ...]]) -> No
                 assert entry.child is None
                 assert entry.cf.n == len(entry.members)
                 seen_tags.extend(entry.members)
-                expected = ClusteringFeature.zero(tree.dim)
+                expected = reference.ClusteringFeature.zero(tree.dim)
                 for tag in entry.members:
                     expected.add_point(points_by_tag[tag])
                 for d in range(tree.dim):
@@ -144,7 +146,7 @@ def _check_tree(tree: CFTree, points_by_tag: dict[str, tuple[float, ...]]) -> No
             else:
                 child = entry.child
                 assert child is not None and child.entries
-                total = ClusteringFeature.zero(tree.dim)
+                total = reference.ClusteringFeature.zero(tree.dim)
                 for sub in child.entries:
                     total.add(sub.cf)
                 assert entry.cf.n == total.n
@@ -156,31 +158,43 @@ def _check_tree(tree: CFTree, points_by_tag: dict[str, tuple[float, ...]]) -> No
 
 
 # ===== Clustering features =====
+# The per-point methods live on in the reference tree only; the
+# production tree inlines the same arithmetic.
 
 
 def test_cf_accumulates_count_sum_and_squares() -> None:
-    cf = ClusteringFeature.from_point((1.0, 2.0))
+    cf = reference.ClusteringFeature.from_point((1.0, 2.0))
     cf.add_point((3.0, 4.0))
     assert cf.n == 2
     assert cf.ls == [4.0, 6.0]
     assert cf.ss == [10.0, 20.0]
     assert cf.centroid() == (2.0, 3.0)
+    merged = ClusteringFeature.from_point((1.0, 2.0))
+    merged.add(ClusteringFeature.from_point((3.0, 4.0)))
+    assert (merged.n, merged.ls, merged.ss) == (cf.n, cf.ls, cf.ss)
+    assert merged.centroid() == (2.0, 3.0)
 
 
 def test_cf_radius_of_unit_pair_is_half() -> None:
-    cf = ClusteringFeature.from_point((0.0,))
+    cf = reference.ClusteringFeature.from_point((0.0,))
     assert cf.radius_with_point((1.0,)) == pytest.approx(0.5)
 
 
 def test_cf_radius_clamps_negative_variance_to_zero() -> None:
     # merged sums n=2, ls=2, ss=2-1e-12: variance -5e-13 before the clamp
-    cf = ClusteringFeature(1, [1.0], [1.0 - 1e-12])
+    cf = reference.ClusteringFeature(1, [1.0], [1.0 - 1e-12])
     assert cf.radius_with_point((1.0,)) == 0.0
+    # The production tree clamps too: the point joins at threshold 0.0.
+    tree = CFTree(threshold=0.0)
+    tree.insert((1.0,), "a")
+    tree.root.entries[0].cf.ss[0] = 1.0 - 1e-12
+    tree.insert((1.0,), "b")
+    assert [e.members for e in tree.leaf_entries()] == [["a", "b"]]
 
 
 def test_cf_merged_radius_matches_actual_merge() -> None:
     points = [(0.0, 0.0), (1.0, 1.0), (3.0, -2.0)]
-    cf = ClusteringFeature.from_point(points[0])
+    cf = reference.ClusteringFeature.from_point(points[0])
     cf.add_point(points[1])
     preview = cf.radius_with_point(points[2])
     cf.add_point(points[2])
@@ -262,6 +276,78 @@ def test_tree_is_unchanged_below_min_refused(
         assert [e.members for e in changed.leaf_entries()] != [
             e.members for e in tree.leaf_entries()
         ]
+
+
+def _structure(node) -> tuple:
+    """A node and everything below it: leaf flag, then each entry's count,
+    sums, members and child."""
+    return (
+        node.is_leaf,
+        [
+            (e.cf.n, e.cf.ls, e.cf.ss, e.members, None if e.child is None else _structure(e.child))
+            for e in node.entries
+        ],
+    )
+
+
+@st.composite
+def _tree_inputs(draw) -> tuple[list[tuple[float, ...]], list[str]]:
+    """Random-float or duplicate-heavy integer points, with columns that are
+    constant at 0.0, -0.0, 1.0, 3.0 or the non-integer 0.1 mixed in, under
+    tags in shuffled order."""
+    width = draw(st.integers(min_value=1, max_value=3))
+    if draw(st.booleans()):
+        coordinate = st.integers(min_value=-3, max_value=3).map(float)
+    else:
+        coordinate = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+    rows = draw(st.lists(st.lists(coordinate, min_size=width, max_size=width), min_size=1, max_size=60))
+    for value in draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, 3.0, 0.1]), max_size=3)):
+        column = draw(st.integers(min_value=0, max_value=len(rows[0])))
+        for row in rows:
+            row.insert(column, value)
+    order = draw(st.permutations(range(len(rows))))
+    return [tuple(row) for row in rows], [f"t{i:03d}" for i in order]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _tree_inputs(),
+    st.sampled_from([0.0, 0.05, 0.3, 1.0, 4.0]),
+    st.sampled_from([2, 3]),
+)
+def test_build_tree_matches_the_reference_tree(
+    inputs: tuple[list[tuple[float, ...]], list[str]], threshold: float, branching: int
+) -> None:
+    points, tags = inputs
+    got = build_tree(points, tags, threshold=threshold, branching=branching)
+    want = reference.build_tree(points, tags, threshold=threshold, branching=branching)
+    assert _structure(got.root) == _structure(want.root)
+    assert got.min_refused == want.min_refused
+    assert got.dim == want.dim
+    # Leaf sums reach the artifacts: they must match bit for bit, the sign
+    # of a zero included. (Inner sums may differ in the sign of a zero
+    # only, which no squared distance can see.)
+    assert repr(_leaf_sequence(got)) == repr(_leaf_sequence(want))
+
+
+def test_build_tree_drops_only_integer_constant_columns(monkeypatch) -> None:
+    widths: set[int] = set()
+    insert = CFTree.insert
+
+    def spy(self, point, tag):
+        widths.add(len(point))
+        insert(self, point, tag)
+
+    monkeypatch.setattr(CFTree, "insert", spy)
+    rng = random.Random(6)
+    # columns: varying, 0.0, 1.0, 0.1, varying, -0.0 and 0.0 mixed
+    points = [(rng.random(), 0.0, 1.0, 0.1, rng.random(), (0.0, -0.0)[i % 2]) for i in range(30)]
+    tags = [f"p{i:02d}" for i in range(30)]
+    tree = build_tree(points, tags, threshold=0.2)
+    assert widths == {4}
+    assert tree.dim == 6
+    assert all(len(e.cf.ls) == len(e.cf.ss) == 6 for e in tree.leaf_entries())
+    assert _leaf_sequence(tree) == _leaf_sequence(reference.build_tree(points, tags, threshold=0.2))
 
 
 def test_insert_rejects_dimension_mismatch() -> None:
@@ -426,6 +512,68 @@ def test_refine_matches_naive_on_many_duplicate_singletons() -> None:
     assert [c.cluster_id for c in fast] == [c.cluster_id for c in slow]
     assert [sorted(c.members) for c in fast] == [sorted(c.members) for c in slow]
     assert [c.cf.n for c in fast] == [c.cf.n for c in slow]
+
+
+def _reference_singleton(cid: int, point: tuple[float, ...]) -> Cluster:
+    return Cluster(cid, reference.ClusteringFeature.from_point(point), (f"g{cid}",))
+
+
+def _same_refine(got: list[Cluster], want: list[Cluster]) -> None:
+    """Equal ids, members, counts and sums, bit for bit."""
+    assert repr([(c.cluster_id, c.members, c.cf.n, c.cf.ls, c.cf.ss) for c in got]) == repr(
+        [(c.cluster_id, c.members, c.cf.n, c.cf.ls, c.cf.ss) for c in want]
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=4),
+            st.integers(min_value=0, max_value=4),
+            st.integers(min_value=0, max_value=2),
+        ),
+        min_size=2,
+        max_size=80,
+    ),
+    st.integers(min_value=1, max_value=8),
+    st.sampled_from([None, 0.0, 0.3]),
+)
+def test_refine_matches_the_reference_refine(
+    int_points: list[tuple[int, int, int]], k: int, threshold: float | None
+) -> None:
+    # Singletons, or the leaves of a tree: clusters of several points whose
+    # centroids are not on the grid.
+    points = [(x / 3, y / 3, float(z)) for x, y, z in int_points]
+    tags = [f"g{i:03d}" for i in range(len(points))]
+    if threshold is None:
+        clusters = [_singleton(i, p) for i, p in enumerate(points)]
+        oracle_input = [_reference_singleton(i, p) for i, p in enumerate(points)]
+    else:
+        clusters = leaf_clusters(build_tree(points, tags, threshold=threshold))
+        oracle_input = [
+            Cluster(c.cluster_id, reference.ClusteringFeature(c.cf.n, list(c.cf.ls), list(c.cf.ss)), c.members)
+            for c in clusters
+        ]
+    k = min(k, len(clusters))
+    _same_refine(refine_to_k(clusters, k), reference.refine_to_k(oracle_input, k))
+
+
+@pytest.mark.parametrize("chunk_floats", [1, 4000, clustering._REFRESH_FLOATS])
+def test_refine_matches_the_reference_on_600_duplicate_singletons(
+    monkeypatch, chunk_floats: int
+) -> None:
+    # 600 singletons on 60 distinct points refined to 5: the live rows are
+    # compacted several times, and stale zero-distance tie groups of many
+    # rows are refreshed together; with 1 float per chunk each chunk holds
+    # one row, with 4000 a few, so those groups span many chunks.
+    monkeypatch.setattr(clustering, "_REFRESH_FLOATS", chunk_floats)
+    rng = random.Random(41)
+    distinct = rng.sample([(float(x), float(y)) for x in range(10) for y in range(10)], 60)
+    points = [rng.choice(distinct) for _ in range(600)]
+    clusters = [_singleton(i, p) for i, p in enumerate(points)]
+    oracle_input = [_reference_singleton(i, p) for i, p in enumerate(points)]
+    _same_refine(refine_to_k(clusters, 5), reference.refine_to_k(oracle_input, 5))
 
 
 # ===== Silhouette =====
@@ -648,7 +796,7 @@ def test_search_threshold_builds_each_distinct_tree_once(monkeypatch) -> None:
 
 def test_summarize_counts_and_spread_from_raw_vectors() -> None:
     cf = ClusteringFeature.from_point((0.0, 0.0))
-    cf.add_point((1.0, 1.0))
+    cf.add(ClusteringFeature.from_point((1.0, 1.0)))
     cluster = Cluster(0, cf, ("a", "b"))
     raw = {"a": (0.0, 0.0), "b": (2.0, 2.0)}
     summary = summarize(cluster, raw, difficulty="easy", label="easy-000")
