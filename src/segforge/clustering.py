@@ -128,17 +128,11 @@ class CFTree:
         path: list[tuple[_Node, _Entry]] = []  # inner nodes and the entry taken
         node = self.root
         while True:
-            best = None
+            best, best_d = None, math.inf
             for entry in node.entries:
                 cf = entry.cf
                 n = cf.n
                 d = 0.0
-                if best is None:
-                    for l, x in zip(cf.ls, point):
-                        diff = l / n - x
-                        d += diff * diff
-                    best, best_d = entry, d
-                    continue
                 # Partial sums never fall, so once one reaches best_d this
                 # entry cannot be strictly nearer: the first of a tie wins.
                 for l, x in zip(cf.ls, point):
@@ -171,8 +165,7 @@ class CFTree:
             radius = math.sqrt(total)
             if radius <= self.threshold:
                 cf.n = n
-                cf.ls[:] = ls
-                cf.ss[:] = ss
+                cf.ls, cf.ss = ls, ss
                 best.members.append(tag)
             else:
                 if radius < self.min_refused:
@@ -284,10 +277,6 @@ def build_tree(
         for d, c in enumerate(first)
         if (bits[:, d] == bits[0, d]).all() and c.is_integer() and c * c <= limit
     }
-    if not constant:
-        for index in order:
-            tree.insert(points[index], tags[index])
-        return tree
     narrow = data[:, [d for d in range(dim) if d not in constant]].tolist()
     for index in order:
         tree.insert(narrow[index], tags[index])
