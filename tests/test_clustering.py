@@ -228,6 +228,15 @@ def test_duplicate_point_always_absorbs() -> None:
         assert entries[0].cf.n == 2
 
 
+def test_nearest_entry_tie_goes_to_the_first_entry() -> None:
+    # 0 is as near to the entry of -2 as to that of 2, and either merged
+    # radius is exactly 1.
+    points, tags = [(-2.0,), (2.0,), (0.0,)], ["a", "b", "c"]
+    tree = build_tree(points, tags, threshold=1.0)
+    assert [e.members for e in tree.leaf_entries()] == [["a", "c"], ["b"]]
+    assert _leaf_sequence(tree) == _leaf_sequence(reference.build_tree(points, tags, threshold=1.0))
+
+
 def test_min_refused_is_the_smallest_refused_radius() -> None:
     # {0, 1} has merged radius 0.5, {2, 2.5} 0.25; 2 is nearest to 1.
     tree = build_tree([(0.0,), (1.0,), (2.0,), (2.5,)], ["a", "b", "c", "d"], threshold=0.1)
