@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import logging
@@ -345,15 +346,23 @@ def run_cluster(config: PipelineConfig, out: Path) -> None:
     for level in LEVELS:
         tags = sorted(game.game_id for game in games if game.difficulty == level)
         points = scaler.transform([raw[tag] for tag in tags])
-        result = search_threshold(
-            points,
-            tags,
-            grid=config.cluster_threshold_grid,
-            k=config.cluster_k,
-            branching=config.cluster_branching,
-            sample_cap=config.cluster_sample_cap,
-            seed=config.cluster_seed,
-        )
+        # The search's trees and clusters stay alive until it returns, so the
+        # cyclic collector would walk them again and again and free nothing.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            result = search_threshold(
+                points,
+                tags,
+                grid=config.cluster_threshold_grid,
+                k=config.cluster_k,
+                branching=config.cluster_branching,
+                sample_cap=config.cluster_sample_cap,
+                seed=config.cluster_seed,
+            )
+        finally:
+            if collecting:
+                gc.enable()
         # csv writes a float as its repr and None as an empty field
         for candidate in result.log:
             selected = "true" if candidate.threshold == result.best_threshold else "false"

@@ -54,10 +54,6 @@ class ClusteringFeature:
         self.ls = ls
         self.ss = ss
 
-    @classmethod
-    def from_point(cls, point: tuple[float, ...]) -> "ClusteringFeature":
-        return cls(1, list(point), [x * x for x in point])
-
     def copy(self) -> "ClusteringFeature":
         return ClusteringFeature(self.n, list(self.ls), list(self.ss))
 

@@ -186,16 +186,15 @@ def next_material(profile: PlayerProfile, total_materials: int) -> int:
 def candidate_pool(
     library: ContentLibrary,
     compound_id: int,
-    mastery: Difficulty | str,
+    mastery: Difficulty,
     played: set[str],
 ) -> list[tuple[str, tuple[float, ...]]]:
     """Unplayed (game_id, feature vector) pairs of the mapped cluster.
 
     Sorted by game_id; a brand-new player sees the whole cluster.
     """
-    level = mastery.value if isinstance(mastery, Difficulty) else mastery
     try:
-        cluster = library.cluster_for(compound_id, level)
+        cluster = library.cluster_for(compound_id, mastery.value)
     except KeyError as exc:
         raise UnknownMaterial(str(exc)) from exc
     remaining = sorted(set(cluster.member_game_ids) - played)
@@ -240,17 +239,17 @@ class MazeTree:
     game on it; play reads them and never changes them.
 
     ``path_cells`` lists the path cells in row order, ``adjacent`` maps each
-    to its path neighbours, and ``parent`` and ``depth`` root the spanning
-    tree at the first cell. ``cells`` is the maze's grid, for line of sight.
-    Every cell in the tables is the same tuple object as in ``path_cells``.
+    to its path neighbours, and ``lineage`` maps each to its ancestors in the
+    spanning tree rooted at the first cell, root first and the cell itself
+    last. ``cells`` is the maze's grid, for line of sight. Every cell in the
+    tables is the same tuple object as in ``path_cells``.
     """
 
     maze_id: str
     cells: tuple[tuple[int, ...], ...]
     path_cells: tuple[tuple[int, int], ...]
     adjacent: dict[tuple[int, int], tuple[tuple[int, int], ...]]
-    parent: dict[tuple[int, int], tuple[int, int]]
-    depth: dict[tuple[int, int], int]
+    lineage: dict[tuple[int, int], tuple[tuple[int, int], ...]]
 
 
 def maze_tree(grid: MazeGrid) -> MazeTree:
@@ -282,28 +281,40 @@ def maze_tree(grid: MazeGrid) -> MazeTree:
         )
         adjacent[cell] = tuple([c for c in around if c is not None])
     root = path_cells[0]
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-    depth = {root: 0}
+    lineage = {root: (root,)}
     stack = [root]
     while stack:
         cell = stack.pop()
+        line = lineage[cell]
         for neighbor in adjacent[cell]:
-            if neighbor not in depth:
-                parent[neighbor] = cell
-                depth[neighbor] = depth[cell] + 1
+            if neighbor not in lineage:
+                lineage[neighbor] = line + (neighbor,)
                 stack.append(neighbor)
     edges = sum(map(len, adjacent.values())) // 2
-    if len(depth) < len(path_cells) or edges != len(path_cells) - 1:
+    if len(lineage) < len(path_cells) or edges != len(path_cells) - 1:
         raise ImperfectMaze(
             f"maze {grid.maze_id!r} is not a perfect maze: {len(path_cells)} path cells "
-            f"with {edges} edges, {len(depth)} of them connected to the start"
+            f"with {edges} edges, {len(lineage)} of them connected to the start"
         )
-    return MazeTree(grid.maze_id, grid.cells, path_cells, adjacent, parent, depth)
+    return MazeTree(grid.maze_id, grid.cells, path_cells, adjacent, lineage)
 
 
 def practice_tree() -> MazeTree:
     """The routing tables of the fixed practice maze."""
     return maze_tree(generate_maze(PRACTICE_MAZE_SEED, maze_id="practice"))
+
+
+def _shared_prefix(a: tuple, b: tuple) -> int:
+    """The length of the prefix two lineages share. Both start at the root,
+    and once they part they never meet again, so a binary search finds it."""
+    lo, hi = 1, min(len(a), len(b))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if a[mid - 1] is b[mid - 1]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 class _Arena:
@@ -314,8 +325,7 @@ class _Arena:
         self.cells = tree.cells
         self.path_cells = tree.path_cells
         self.adjacent = tree.adjacent
-        self.parent = tree.parent
-        self.depth = tree.depth
+        self.lineage = tree.lineage
         self.start = self.path_cells[0]
         self.exit = self.path_cells[-1]
         self.avatar = self.start
@@ -332,27 +342,20 @@ class _Arena:
         self.good_atoms = set(picks[:GOOD_ATOMS_ON_FIELD])
         self.bad_atoms = set(picks[GOOD_ATOMS_ON_FIELD:])
 
-    def path(self, source: tuple[int, int], target: tuple[int, int]) -> list[tuple[int, int]]:
-        """The unique path from ``source`` to ``target``, both included:
-        each end climbs the parent map until the two meet."""
-        parent = self.parent
-        a, b = source, target
-        up, down = [a], [b]
-        climb = self.depth[a] - self.depth[b]
-        for _ in range(climb):
-            a = parent[a]
-            up.append(a)
-        for _ in range(-climb):
-            b = parent[b]
-            down.append(b)
-        while a != b:
-            a = parent[a]
-            b = parent[b]
-            up.append(a)
-            down.append(b)
-        down.pop()
-        up.extend(reversed(down))
-        return up
+    def path(
+        self, source: tuple[int, int], target: tuple[int, int]
+    ) -> tuple[tuple[int, int], ...]:
+        """The unique path from ``source`` to ``target``, both included: up
+        ``source``'s lineage to the last ancestor the two share, then down
+        ``target``'s."""
+        up, down = self.lineage[source], self.lineage[target]
+        shared = _shared_prefix(up, down)
+        return up[shared - 1 :][::-1] + down[shared:]
+
+    def distance(self, source: tuple[int, int], target: tuple[int, int]) -> int:
+        """The number of steps on the path from ``source`` to ``target``."""
+        up, down = self.lineage[source], self.lineage[target]
+        return len(up) + len(down) - 2 * _shared_prefix(up, down)
 
     def respawn_atom(self, good: bool) -> None:
         occupied = self.good_atoms | self.bad_atoms | {self.avatar, self.start, self.exit}
@@ -455,9 +458,7 @@ def _random_turn(arena: _Arena, tally: dict, events: list[SimEvent], tick: int) 
 
 def _enemy_gap(arena: _Arena, cell: tuple[int, int]) -> int:
     """Distance from ``cell`` to the nearest enemy, TIME_LIMIT without one."""
-    return min(
-        (len(arena.path(cell, enemy)) - 1 for enemy in arena.enemies), default=TIME_LIMIT
-    )
+    return min((arena.distance(cell, enemy) for enemy in arena.enemies), default=TIME_LIMIT)
 
 
 def _flee_step(arena: _Arena) -> None:
@@ -483,21 +484,24 @@ def _greedy_turn(arena: _Arena, tally: dict, events: list[SimEvent], tick: int) 
         route = arena.path(arena.avatar, arena.exit)
     else:
         # nearest correct atom, preferring ones whose corridor is free of
-        # wrong atoms and enemies (crossing either costs a life)
+        # wrong atoms and enemies (crossing either costs a life), then ones
+        # free of enemies, then the nearest; ties go to the lower cell
+        avatar = arena.avatar
         enemies = set(arena.enemies)
-        candidates = sorted(
-            (len(path), path[-1], path)
-            for path in (arena.path(arena.avatar, atom) for atom in arena.good_atoms)
-        )
-        route = next(
-            (
-                path
-                for hazards in (enemies | arena.bad_atoms, enemies, set())
-                for _, _, path in candidates
-                if hazards.isdisjoint(path[1:])
-            ),
-            None,
-        )
+        hazards = enemies | arena.bad_atoms
+        ranked = sorted((arena.distance(avatar, atom), atom) for atom in arena.good_atoms)
+        paths = []
+        for _, atom in ranked:
+            path = arena.path(avatar, atom)
+            if hazards.isdisjoint(path[1:]):
+                route = path
+                break
+            paths.append(path)
+        else:
+            route = next(
+                (path for path in paths if enemies.isdisjoint(path[1:])),
+                paths[0] if paths else None,
+            )
     # no atom left, or the bot already stands on its target
     if route is None or len(route) == 1:
         _flee_step(arena)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import logging
@@ -17,7 +18,8 @@ import pytest
 
 from segforge import cli
 from segforge.cli import main
-from segforge.clustering import ClusterSummary, ThresholdCandidate
+from segforge.clustering import ClusterSummary, NoFeasibleThreshold, ThresholdCandidate
+from segforge.config import load_config
 from segforge.contentspace import (
     FEATURE_NAMES,
     LEVELS,
@@ -538,6 +540,37 @@ def test_simulate_builds_tables_only_for_played_mazes(workdir, tmp_path, monkeyp
     assert played < library
     # every library maze is checked once; a played maze's tables are built once more
     assert Counter(built) == Counter(library) + Counter(played)
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+def test_cluster_pauses_the_collector_and_restores_it(workdir, tmp_path, monkeypatch, collecting):
+    config, out = workdir
+    shutil.copyfile(out / "games.csv", tmp_path / "games.csv")
+    real_search = cli.search_threshold
+    seen = []
+    failing = []
+
+    def search(*args, **kwargs):
+        seen.append(gc.isenabled())
+        if failing:
+            raise NoFeasibleThreshold("no grid threshold gave enough clusters")
+        return real_search(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "search_threshold", search)
+    was_collecting = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        cli.run_cluster(load_config(config), tmp_path)
+        assert gc.isenabled() is collecting
+        failing.append(True)
+        with pytest.raises(NoFeasibleThreshold):
+            cli.run_cluster(load_config(config), tmp_path)
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was_collecting else gc.disable)()
+    # three levels, then the failing first level
+    assert seen == [False] * (len(LEVELS) + 1)
+    assert (tmp_path / "clusters.csv").read_bytes() == (out / "clusters.csv").read_bytes()
 
 
 def test_early_stages_are_deterministic(workdir, tmp_path):

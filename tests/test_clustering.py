@@ -169,8 +169,8 @@ def test_cf_accumulates_count_sum_and_squares() -> None:
     assert cf.ls == [4.0, 6.0]
     assert cf.ss == [10.0, 20.0]
     assert cf.centroid() == (2.0, 3.0)
-    merged = ClusteringFeature.from_point((1.0, 2.0))
-    merged.add(ClusteringFeature.from_point((3.0, 4.0)))
+    merged = ClusteringFeature(1, [1.0, 2.0], [1.0, 4.0])
+    merged.add(ClusteringFeature(1, [3.0, 4.0], [9.0, 16.0]))
     assert (merged.n, merged.ls, merged.ss) == (cf.n, cf.ls, cf.ss)
     assert merged.centroid() == (2.0, 3.0)
 
@@ -414,7 +414,7 @@ def test_tree_invariants_hold_for_random_sequences(
 
 
 def _singleton(cid: int, point: tuple[float, ...]) -> Cluster:
-    return Cluster(cid, ClusteringFeature.from_point(point), (f"g{cid}",))
+    return Cluster(cid, ClusteringFeature(1, list(point), [x * x for x in point]), (f"g{cid}",))
 
 
 def test_refine_merges_near_pairs_first() -> None:
@@ -804,8 +804,7 @@ def test_search_threshold_builds_each_distinct_tree_once(monkeypatch) -> None:
 
 
 def test_summarize_counts_and_spread_from_raw_vectors() -> None:
-    cf = ClusteringFeature.from_point((0.0, 0.0))
-    cf.add(ClusteringFeature.from_point((1.0, 1.0)))
+    cf = ClusteringFeature(2, [1.0, 1.0], [1.0, 1.0])
     cluster = Cluster(0, cf, ("a", "b"))
     raw = {"a": (0.0, 0.0), "b": (2.0, 2.0)}
     summary = summarize(cluster, raw, difficulty="easy", label="easy-000")
@@ -818,7 +817,7 @@ def test_summarize_counts_and_spread_from_raw_vectors() -> None:
 
 
 def test_summarize_singleton_has_zero_spread() -> None:
-    cluster = Cluster(0, ClusteringFeature.from_point((3.0, 4.0)), ("a",))
+    cluster = Cluster(0, ClusteringFeature(1, [3.0, 4.0], [9.0, 16.0]), ("a",))
     summary = summarize(cluster, {"a": (30.0, 40.0)}, difficulty="hard", label="hard-000")
     assert summary.s == 0.0
     assert summary.n == 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import statistics
 
 import pytest
@@ -26,6 +27,7 @@ from segforge.engine import (
     SessionRecord,
     UnknownMaterial,
     WeightLengthMismatch,
+    _Arena,
     assess_level,
     bot_simulate,
     candidate_pool,
@@ -224,7 +226,7 @@ def test_pool_excludes_played(world):
     library, _ = world
     cluster = library.cluster_for(1, "easy")
     first = sorted(cluster.member_game_ids)[0]
-    pool = candidate_pool(library, 1, "easy", played={first})
+    pool = candidate_pool(library, 1, Difficulty.EASY, played={first})
     assert first not in [gid for gid, _ in pool]
     assert len(pool) == len(cluster.member_game_ids) - 1
 
@@ -233,13 +235,13 @@ def test_pool_exhaustion_raises(world):
     library, _ = world
     cluster = library.cluster_for(1, "easy")
     with pytest.raises(EmptyPool):
-        candidate_pool(library, 1, "easy", played=set(cluster.member_game_ids))
+        candidate_pool(library, 1, Difficulty.EASY, played=set(cluster.member_game_ids))
 
 
 def test_pool_unknown_material(world):
     library, _ = world
     with pytest.raises(UnknownMaterial):
-        candidate_pool(library, 99, "easy", played=set())
+        candidate_pool(library, 99, Difficulty.EASY, played=set())
 
 
 # ===== Game selection =====
@@ -378,8 +380,7 @@ def _tables(tree: MazeTree) -> tuple:
         tree.cells,
         tree.path_cells,
         list(tree.adjacent.items()),
-        list(tree.parent.items()),
-        list(tree.depth.items()),
+        list(tree.lineage.items()),
     )
 
 
@@ -440,13 +441,16 @@ def test_bot_rejects_a_maze_that_is_not_a_tree(grid):
 
 def test_maze_tree_spans_every_path_cell(small_grid):
     tree = maze_tree(small_grid)
-    path_cells, adjacent, parent, depth = tree.path_cells, tree.adjacent, tree.parent, tree.depth
+    path_cells, adjacent, lineage = tree.path_cells, tree.adjacent, tree.lineage
     assert tree.maze_id == small_grid.maze_id and tree.cells is small_grid.cells
     assert list(path_cells) == sorted(path_cells, key=lambda c: (c[1], c[0]))
-    assert set(adjacent) == set(depth) == set(path_cells)
-    assert set(parent) == set(path_cells) - {path_cells[0]}
-    for cell, up in parent.items():
-        assert up in adjacent[cell] and depth[cell] == depth[up] + 1
+    assert set(adjacent) == set(lineage) == set(path_cells)
+    root = path_cells[0]
+    for cell, line in lineage.items():
+        assert line[0] is root and line[-1] is cell
+        assert len(set(line)) == len(line)
+        for up, down in zip(line, line[1:]):
+            assert down in adjacent[up]
     for (x, y), neighbors in adjacent.items():
         order = [(x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)]
         assert list(neighbors) == [c for c in order if c in adjacent]
@@ -454,7 +458,70 @@ def test_maze_tree_spans_every_path_cell(small_grid):
     canonical = {id(cell) for cell in path_cells}
     assert len(canonical) == len(path_cells)
     assert {id(c) for neighbors in adjacent.values() for c in neighbors} <= canonical
-    assert {id(c) for c in (*adjacent, *parent, *parent.values(), *depth)} <= canonical
+    assert {id(c) for c in (*adjacent, *lineage)} <= canonical
+    assert {id(c) for line in lineage.values() for c in line} <= canonical
+
+
+def _climbing_path(tree: MazeTree, source, target) -> list:
+    """The routing the lineage tables replaced, kept as an oracle: root the
+    tree at the first path cell with parent and depth maps, then climb from
+    both ends until they meet."""
+    root = tree.path_cells[0]
+    parent, depth = {}, {root: 0}
+    stack = [root]
+    while stack:
+        cell = stack.pop()
+        for neighbor in tree.adjacent[cell]:
+            if neighbor not in depth:
+                parent[neighbor] = cell
+                depth[neighbor] = depth[cell] + 1
+                stack.append(neighbor)
+    a, b = source, target
+    up, down = [a], [b]
+    climb = depth[a] - depth[b]
+    for _ in range(climb):
+        a = parent[a]
+        up.append(a)
+    for _ in range(-climb):
+        b = parent[b]
+        down.append(b)
+    while a != b:
+        a = parent[a]
+        b = parent[b]
+        up.append(a)
+        down.append(b)
+    down.pop()
+    up.extend(reversed(down))
+    return up
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    maze_seed=st.integers(0, 10**6),
+    width=st.integers(2, 15).map(lambda n: 2 * n + 1),
+    height=st.integers(2, 15).map(lambda n: 2 * n + 1),
+    kind=st.sampled_from(["any", "same", "ancestor", "root"]),
+    data=st.data(),
+)
+def test_lineage_routes_match_the_climbing_oracle(maze_seed, width, height, kind, data):
+    tree = maze_tree(generate_maze(maze_seed, width, height))
+    arena = _Arena(tree, GameParams("g", tree.maze_id, 0, 0, 0), random.Random(0))
+    cells = tree.path_cells
+    a = data.draw(st.sampled_from(cells))
+    if kind == "any":
+        b = data.draw(st.sampled_from(cells))
+    elif kind == "same":
+        b = a
+    elif kind == "ancestor":
+        b = data.draw(st.sampled_from(tree.lineage[a]))
+    else:
+        b = cells[0]
+    a, b = data.draw(st.permutations([a, b]))
+    path = arena.path(a, b)
+    assert list(path) == _climbing_path(tree, a, b)
+    assert arena.distance(a, b) == len(path) - 1
+    assert arena.path(b, a) == path[::-1]
+    assert arena.distance(b, a) == arena.distance(a, b)
 
 
 # ===== Practice sessions =====
@@ -543,7 +610,7 @@ def test_recycle_reopens_exhausted_cluster(world):
 def _find_seed(world, victory: bool) -> int:
     """A seed whose first easy session for compound 1 ends as requested."""
     library, mazes = world
-    pool = candidate_pool(library, 1, "easy", played=set())
+    pool = candidate_pool(library, 1, Difficulty.EASY, played=set())
     game = library.game(select_game(pool))
     for seed in range(300):
         if bot_simulate(mazes[game.maze_id], game, "greedy", seed).victory is victory:
