@@ -348,8 +348,11 @@ def run_cluster(config: PipelineConfig, out: Path) -> None:
         points = scaler.transform([raw[tag] for tag in tags])
         # The search's trees and clusters stay alive until it returns, so the
         # cyclic collector would walk them again and again and free nothing.
+        # What is garbage already is freed first rather than held through it.
         collecting = gc.isenabled()
-        gc.disable()
+        if collecting:
+            gc.collect()
+            gc.disable()
         try:
             result = search_threshold(
                 points,

@@ -11,6 +11,7 @@ import shutil
 import sqlite3
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from dataclasses import fields
 
@@ -542,6 +543,10 @@ def test_simulate_builds_tables_only_for_played_mazes(workdir, tmp_path, monkeyp
     assert Counter(built) == Counter(library) + Counter(played)
 
 
+class _Node:
+    pass
+
+
 @pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
 def test_cluster_pauses_the_collector_and_restores_it(workdir, tmp_path, monkeypatch, collecting):
     config, out = workdir
@@ -551,7 +556,7 @@ def test_cluster_pauses_the_collector_and_restores_it(workdir, tmp_path, monkeyp
     failing = []
 
     def search(*args, **kwargs):
-        seen.append(gc.isenabled())
+        seen.append((gc.isenabled(), garbage() is None))
         if failing:
             raise NoFeasibleThreshold("no grid threshold gave enough clusters")
         return real_search(*args, **kwargs)
@@ -560,6 +565,13 @@ def test_cluster_pauses_the_collector_and_restores_it(workdir, tmp_path, monkeyp
     was_collecting = gc.isenabled()
     try:
         (gc.enable if collecting else gc.disable)()
+        # a cycle that is already old when it turns into garbage, so only a
+        # full collection frees it
+        node = _Node()
+        node.self = node
+        garbage = weakref.ref(node)
+        gc.collect()
+        del node
         cli.run_cluster(load_config(config), tmp_path)
         assert gc.isenabled() is collecting
         failing.append(True)
@@ -568,8 +580,10 @@ def test_cluster_pauses_the_collector_and_restores_it(workdir, tmp_path, monkeyp
         assert gc.isenabled() is collecting
     finally:
         (gc.enable if was_collecting else gc.disable)()
-    # three levels, then the failing first level
-    assert seen == [False] * (len(LEVELS) + 1)
+    # paused in each level's search and in the failing one; a caller's
+    # disabled collector is left alone, and frees nothing
+    assert [enabled for enabled, _ in seen] == [False] * (len(LEVELS) + 1)
+    assert seen[0][1] is collecting
     assert (tmp_path / "clusters.csv").read_bytes() == (out / "clusters.csv").read_bytes()
 
 
