@@ -31,7 +31,7 @@ from .clustering import ClusterSummary, ThresholdCandidate, search_threshold, su
 from .config import PipelineConfig, default_config_text, load_config
 from .contentspace import (
     FEATURE_NAMES,
-    LEVELS,
+    Difficulty,
     FeatureScaler,
     GameParams,
     MazeFeatures,
@@ -64,6 +64,7 @@ from .mapping import (
     export_json,
     export_level_curves,
     load_library,
+    row_decoder,
     save_library,
     validate_library,
 )
@@ -84,7 +85,7 @@ _CANDIDATE_COLUMNS = tuple(f.name for f in fields(ThresholdCandidate))
 _candidate_values = attrgetter(*_CANDIDATE_COLUMNS)
 THRESHOLD_LOG_COLUMNS = ("difficulty",) + _CANDIDATE_COLUMNS + ("selected",)
 
-_PARSERS = {"str": str, "int": int, "float": float}
+_PARSERS = {"str": str, "int": int, "float": float, "Difficulty": Difficulty}
 
 
 class MissingPrerequisite(SegforgeError):
@@ -190,7 +191,7 @@ def _write_jsonl(path: Path, meta: dict, lines: list[str]) -> None:
 
 
 def _read_jsonl(
-    path: Path, config_hash: str, convert=None, artifact: str | None = None
+    path: Path, config_hash: str, convert, artifact: str | None = None
 ) -> tuple[dict, list]:
     """The meta line and the records of a stage JSONL file, ``convert``
     applied to each record; a line that does not parse names its number, and
@@ -215,7 +216,7 @@ def _read_jsonl(
                         raise ValueError(f"not the meta line of a {tag!r} file")
                     meta = data
                 else:
-                    records.append(data if convert is None else convert(data))
+                    records.append(convert(data))
         except (KeyError, TypeError, ValueError) as exc:
             raise _malformed(path, number, exc) from None
     if number == 0:
@@ -322,7 +323,7 @@ def run_categorize(config: PipelineConfig, out: Path) -> None:
     game = _row_parser(GameRecord)
 
     def categorized(row: dict[str, str]) -> list[str]:
-        row["difficulty"] = classify_difficulty(params(row)).value
+        row["difficulty"] = classify_difficulty(params(row))
         # rejects text that does not parse as its column's type here, not one
         # stage later; games.csv keeps the text as it is
         game(row)
@@ -335,6 +336,11 @@ def run_categorize(config: PipelineConfig, out: Path) -> None:
 
 def run_cluster(config: PipelineConfig, out: Path) -> None:
     config_hash = config.config_hash()
+    # Earlier garbage is freed before the stage's data are loaded, so they
+    # reuse its memory rather than leave holes that the search cannot fill.
+    collecting = gc.isenabled()
+    if collecting:
+        gc.collect()
     games = _load_games(out, config_hash)
     raw = {game.game_id: game.vector() for game in games}
     # one scaler over the whole space keeps the three levels comparable
@@ -343,13 +349,12 @@ def run_cluster(config: PipelineConfig, out: Path) -> None:
     cluster_rows = []
     member_rows = []
     log_rows = []
-    for level in LEVELS:
+    for level in Difficulty:
         tags = sorted(game.game_id for game in games if game.difficulty == level)
         points = scaler.transform([raw[tag] for tag in tags])
         # The search's trees and clusters stay alive until it returns, so the
         # cyclic collector would walk them again and again and free nothing.
         # What is garbage already is freed first rather than held through it.
-        collecting = gc.isenabled()
         if collecting:
             gc.collect()
             gc.disable()
@@ -401,8 +406,6 @@ def _load_games(out: Path, config_hash: str) -> list[GameRecord]:
 
     def game(row: dict[str, str]) -> GameRecord:
         record = parse(row)
-        if record.difficulty not in LEVELS:
-            raise ValueError(f"difficulty {record.difficulty!r} is not one of {LEVELS}")
         if record.game_id in seen:
             raise ValueError(f"game_id {record.game_id!r} repeats an earlier row")
         seen.add(record.game_id)
@@ -431,14 +434,17 @@ def _load_summaries(out: Path, config_hash: str) -> list[ClusterSummary]:
 
 def run_map(config: PipelineConfig, out: Path, export_plots: bool = False) -> None:
     config_hash = config.config_hash()
-    _, compounds = _read_jsonl(
-        out / "annotations.jsonl", config_hash, lambda record: CompoundAnnotation(**record)
-    )
+    decode = row_decoder(fields(CompoundAnnotation))
+
+    def compound(record: dict) -> CompoundAnnotation:
+        # the first build refuses a missing or unknown field, the decoders a
+        # value that is not of its field's type, a missing compound_id too
+        return CompoundAnnotation(*decode(vars(CompoundAnnotation(**record)).values()))
+
+    _, compounds = _read_jsonl(out / "annotations.jsonl", config_hash, compound)
     games = _load_games(out, config_hash)
     summaries = _load_summaries(out, config_hash)
-    by_level = {
-        level: [s for s in summaries if s.difficulty == level] for level in LEVELS
-    }
+    by_level = {level: [s for s in summaries if s.difficulty == level] for level in Difficulty}
     mapping = deploy(compounds, by_level)
     library = ContentLibrary(
         compounds=compounds,
@@ -452,13 +458,13 @@ def run_map(config: PipelineConfig, out: Path, export_plots: bool = False) -> No
     _atomic_write(out / "library.json", export_json(library))
     if export_plots:
         n_rows, s_rows = export_level_curves(library)
-        header = ("compound_id",) + LEVELS
+        header = ("compound_id", *Difficulty)
         _atomic_write(out / "mapping_N.csv", _csv_text(config_hash, header, n_rows))
         _atomic_write(out / "mapping_S.csv", _csv_text(config_hash, header, s_rows))
     logger.info(
         "deployed %d compounds x %d levels over %d clusters",
         len(compounds),
-        len(LEVELS),
+        len(Difficulty),
         len(summaries),
     )
 
@@ -491,7 +497,7 @@ class _PlayedTrees(dict):
         return tree
 
 
-def _per_level(counts: dict[str, int]) -> str:
+def _per_level(counts: dict[Difficulty, int]) -> str:
     return ", ".join(f"{level} {count}" for level, count in counts.items())
 
 
@@ -528,8 +534,8 @@ def run_simulate(config: PipelineConfig, out: Path) -> None:
         )
 
     victories = 0
-    recycled = dict.fromkeys(LEVELS, 0)
-    exhausted = dict.fromkeys(LEVELS, 0)
+    recycled = dict.fromkeys(Difficulty, 0)
+    exhausted = dict.fromkeys(Difficulty, 0)
     for p in range(config.sim_players):
         profile = PlayerProfile(f"player-{p:03d}")
         practice = practice_session(
@@ -557,24 +563,18 @@ def run_simulate(config: PipelineConfig, out: Path) -> None:
                     negative_weights=config.negative_weights,
                 )
             except CurriculumComplete:
-                event_lines.append(
-                    json.dumps(
-                        {"player_id": profile.player_id, "kind": "curriculum_complete"}
-                    )
-                )
-                break
+                stop = "curriculum_complete"
             except EmptyPool:
-                exhausted[profile.mastery.value] += 1
-                event_lines.append(
-                    json.dumps(
-                        {"player_id": profile.player_id, "kind": "pool_exhausted"}
-                    )
-                )
-                break
-            session_lines.append(json.dumps(record.to_record(), sort_keys=False))
-            log_events(profile.player_id, record.game_id, record.events)
-            victories += record.outcome == "victory"
-            recycled[record.difficulty] += record.recycled
+                exhausted[profile.mastery] += 1
+                stop = "pool_exhausted"
+            else:
+                session_lines.append(json.dumps(record.to_record(), sort_keys=False))
+                log_events(profile.player_id, record.game_id, record.events)
+                victories += record.outcome == "victory"
+                recycled[record.difficulty] += record.recycled
+                continue
+            event_lines.append(json.dumps({"player_id": profile.player_id, "kind": stop}))
+            break
 
     base_meta = {
         "config_hash": config_hash,

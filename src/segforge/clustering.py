@@ -18,6 +18,7 @@ from operator import add, truediv
 
 import numpy as np
 
+from .contentspace import Difficulty
 from .errors import SegforgeError
 
 DEFAULT_BRANCHING = 2
@@ -587,7 +588,7 @@ class ClusterSummary:
     """
 
     cluster_id: str
-    difficulty: str
+    difficulty: Difficulty
     n: int
     s: float
     centroid: tuple[float, ...]
@@ -597,7 +598,7 @@ class ClusterSummary:
 def summarize(
     cluster: Cluster,
     raw_vectors: dict[str, tuple[float, ...]],
-    difficulty: str,
+    difficulty: Difficulty,
     label: str,
 ) -> ClusterSummary:
     """Build the reporting summary for one refined cluster.

@@ -11,6 +11,7 @@ import hashlib
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .engine import POLICIES
 from .errors import SegforgeError
 
 
@@ -136,7 +137,7 @@ def _validate(config: PipelineConfig) -> None:
         (config.easy_medium < config.medium_hard, "score.easy_medium must lie below score.medium_hard"),
         (config.sim_players >= 1, "sim.players must be at least 1"),
         (config.sim_sessions >= 1, "sim.sessions must be at least 1"),
-        (config.sim_policy in ("random", "greedy"), "sim.policy must be 'random' or 'greedy'"),
+        (config.sim_policy in POLICIES, f"sim.policy must be one of {', '.join(POLICIES)}"),
         (config.stats_min_n >= 1, "stats.min_n must be at least 1"),
         (0.0 < config.stats_ci_level < 1.0, "stats.ci_level must lie in (0, 1)"),
         (0.0 < config.stats_significance < 1.0, "stats.significance must lie in (0, 1)"),

@@ -44,9 +44,6 @@ class Difficulty(str, Enum):
         return self.value
 
 
-LEVELS = tuple(level.value for level in Difficulty)
-
-
 @dataclass(frozen=True)
 class MazeGrid:
     """A rectangular wall/path grid; ``cells[y][x]`` is WALL or PATH."""

@@ -93,7 +93,7 @@ class SessionRecord:
 
     player_id: str
     compound_id: int
-    difficulty: str
+    difficulty: Difficulty | None  # None for the practice game
     game_id: str
     policy: str
     seed: int
@@ -194,7 +194,7 @@ def candidate_pool(
     Sorted by game_id; a brand-new player sees the whole cluster.
     """
     try:
-        cluster = library.cluster_for(compound_id, mastery.value)
+        cluster = library.cluster_for(compound_id, mastery)
     except KeyError as exc:
         raise UnknownMaterial(str(exc)) from exc
     remaining = sorted(set(cluster.member_game_ids) - played)
@@ -518,6 +518,10 @@ def _greedy_turn(arena: _Arena, tally: dict, events: list[SimEvent], tick: int) 
     return False
 
 
+# the bot policies by name, each a turn function; sim.policy names one
+POLICIES = {"random": _random_turn, "greedy": _greedy_turn}
+
+
 def _enemy_turn(arena: _Arena, tally: dict, events: list[SimEvent], tick: int) -> None:
     moved: list[tuple[int, int]] = []
     for cell in arena.enemies:
@@ -542,7 +546,8 @@ def bot_simulate(
     policy: str,
     seed: int,
 ) -> SimResult:
-    """Play one game headlessly with a scripted policy.
+    """Play one game headlessly with the scripted policy named ``policy``,
+    one of ``POLICIES``.
 
     One tick is one simulated second, capped at the 90-second session limit.
     The bot wins by collecting ten correct atoms and then reaching the exit;
@@ -550,36 +555,24 @@ def bot_simulate(
     of (tree, params, policy, seed). The bots route on the maze's spanning
     tree, which ``maze_tree`` builds once for all games on the maze.
     """
-    if policy not in ("random", "greedy"):
-        raise ValueError(f"unknown policy {policy!r}")
+    turn = POLICIES.get(policy)
+    if turn is None:
+        raise ValueError(f"unknown policy {policy!r}, not one of {', '.join(POLICIES)}")
     rng = random.Random(seed)
     arena = _Arena(tree, params, rng)
     tally = {name: 0 for name in POSITIVE_ACTION_NAMES + NEGATIVE_ACTION_NAMES}
     events: list[SimEvent] = [SimEvent(0, "spawn", f"{arena.avatar[0]},{arena.avatar[1]}")]
-    victory = False
-    duration = TIME_LIMIT
     for tick in range(1, TIME_LIMIT + 1):
-        if policy == "random":
-            victory = _random_turn(arena, tally, events, tick)
-        else:
-            victory = _greedy_turn(arena, tally, events, tick)
-        if victory:
-            duration = tick
+        victory = turn(arena, tally, events, tick)
+        if not victory and arena.lives > 0:
+            _enemy_turn(arena, tally, events, tick)
+        if victory or arena.lives <= 0:
             break
-        if arena.lives <= 0:
-            events.append(SimEvent(tick, "defeat", "no_lives"))
-            duration = tick
-            break
-        _enemy_turn(arena, tally, events, tick)
-        if arena.lives <= 0:
-            events.append(SimEvent(tick, "defeat", "no_lives"))
-            duration = tick
-            break
-    else:
-        events.append(SimEvent(TIME_LIMIT, "defeat", "time_out"))
+    if not victory:
+        events.append(SimEvent(tick, "defeat", "no_lives" if arena.lives <= 0 else "time_out"))
     return SimResult(
         victory=victory,
-        duration=duration,
+        duration=tick,
         tally=ActionTally(
             positives=tuple(tally[name] for name in POSITIVE_ACTION_NAMES),
             negatives=tuple(tally[name] for name in NEGATIVE_ACTION_NAMES),
@@ -614,7 +607,7 @@ def practice_session(
     return SessionRecord(
         player_id=profile.player_id,
         compound_id=0,
-        difficulty="practice",
+        difficulty=None,
         game_id=PRACTICE_GAME.game_id,
         policy=policy,
         seed=seed,
@@ -651,7 +644,7 @@ def run_session(
     except EmptyPool:
         if not recycle:
             raise
-        cluster = library.cluster_for(material, profile.mastery.value)
+        cluster = library.cluster_for(material, profile.mastery)
         profile.played_game_ids -= set(cluster.member_game_ids)
         recycled = True
         pool = candidate_pool(library, material, profile.mastery, profile.played_game_ids)

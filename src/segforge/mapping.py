@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 
 from .clustering import ClusterSummary
-from .contentspace import FEATURE_NAMES, LEVELS
+from .contentspace import FEATURE_NAMES, Difficulty
 from .errors import SegforgeError
 from .knowledge import CompoundAnnotation
 
@@ -49,7 +49,7 @@ class GameRecord:
     enemy_type: int
     total_enemy: int
     total_bullets: int
-    difficulty: str
+    difficulty: Difficulty
     total_path: int
     total_corners: int
     total_intersections: int
@@ -73,7 +73,7 @@ class MappingEntry:
     """One curriculum cell: a compound's game cluster at one level."""
 
     compound_id: int
-    difficulty: str
+    difficulty: Difficulty
     cluster_id: str
 
 
@@ -84,7 +84,7 @@ def sort_clusters(summaries: list[ClusterSummary]) -> list[ClusterSummary]:
 
 def deploy(
     compounds: list[CompoundAnnotation],
-    clusters_by_level: dict[str, list[ClusterSummary]],
+    clusters_by_level: dict[Difficulty, list[ClusterSummary]],
 ) -> list[MappingEntry]:
     """Pair compounds with clusters positionally, level by level.
 
@@ -95,20 +95,14 @@ def deploy(
     """
     ordered = sorted(compounds, key=lambda c: c.compound_id)
     entries: list[MappingEntry] = []
-    for level in LEVELS:
+    for level in Difficulty:
         clusters = clusters_by_level.get(level, [])
         if len(clusters) != len(ordered):
             raise CardinalityMismatch(
-                f"level {level!r} has {len(clusters)} clusters for {len(ordered)} compounds"
+                f"level '{level}' has {len(clusters)} clusters for {len(ordered)} compounds"
             )
         for compound, cluster in zip(ordered, sort_clusters(clusters)):
-            entries.append(
-                MappingEntry(
-                    compound_id=compound.compound_id,
-                    difficulty=level,
-                    cluster_id=cluster.cluster_id,
-                )
-            )
+            entries.append(MappingEntry(compound.compound_id, level, cluster.cluster_id))
     return entries
 
 
@@ -151,10 +145,10 @@ class ContentLibrary:
     def game(self, game_id: str) -> GameRecord:
         return self._games_by_id[game_id]
 
-    def cluster_for(self, compound_id: int, difficulty: str) -> ClusterSummary:
+    def cluster_for(self, compound_id: int, difficulty: Difficulty) -> ClusterSummary:
         key = (compound_id, difficulty)
         if key not in self._mapping_index:
-            raise KeyError(f"no cluster mapped for compound {compound_id} at {difficulty!r}")
+            raise KeyError(f"no cluster mapped for compound {compound_id} at '{difficulty}'")
         return self._clusters_by_id[self._mapping_index[key]]
 
 
@@ -175,8 +169,8 @@ def validate_library(library: ContentLibrary) -> None:
                 )
             if game.difficulty != cluster.difficulty:
                 raise IntegrityViolation(
-                    f"game {game_id!r} is {game.difficulty!r} but its cluster "
-                    f"{cluster.cluster_id!r} is {cluster.difficulty!r}"
+                    f"game {game_id!r} is '{game.difficulty}' but its cluster "
+                    f"{cluster.cluster_id!r} is '{cluster.difficulty}'"
                 )
             owner = seen_game_owner.setdefault(game_id, cluster.cluster_id)
             if owner != cluster.cluster_id:
@@ -195,27 +189,30 @@ def validate_library(library: ContentLibrary) -> None:
             raise IntegrityViolation(f"mapping references unknown cluster {entry.cluster_id!r}")
         if cluster.difficulty != entry.difficulty:
             raise IntegrityViolation(
-                f"mapping puts {entry.difficulty!r} material of compound {entry.compound_id} "
-                f"on {cluster.difficulty!r} cluster {entry.cluster_id!r}"
+                f"mapping puts '{entry.difficulty}' material of compound {entry.compound_id} "
+                f"on '{cluster.difficulty}' cluster {entry.cluster_id!r}"
             )
         if entry.cluster_id in mapped_clusters:
             raise IntegrityViolation(f"cluster {entry.cluster_id!r} mapped twice")
         mapped_clusters.add(entry.cluster_id)
     for compound_id in library._compounds_by_id:
-        for level in LEVELS:
+        for level in Difficulty:
             if (compound_id, level) not in library._mapping_index:
-                raise IntegrityViolation(f"compound {compound_id} has no {level!r} cluster")
+                raise IntegrityViolation(f"compound {compound_id} has no '{level}' cluster")
 
 
 # ===== Relational persistence =====
 
-_JSON_LIST = "tuple[float, ...]"  # stored as its JSON list
-_SQL_TYPES = {
-    "str": "TEXT",
-    "int": "INTEGER",
-    "int | None": "INTEGER",
-    "float": "REAL",
-    _JSON_LIST: "TEXT",
+# field type -> (SQL column type, Python type of its stored value, parser of
+# that value or None); a stored value of another type is refused, so a bool
+# is no int, and neither is text or a null
+_FIELD_TYPES = {
+    "str": ("TEXT", str, None),
+    "int": ("INTEGER", int, None),
+    "int | None": ("INTEGER", int, None),  # a stored compound has its id
+    "float": ("REAL", float, None),
+    "Difficulty": ("TEXT", str, Difficulty),
+    "tuple[float, ...]": ("TEXT", str, lambda text: tuple(json.loads(text))),  # its JSON list
 }
 
 # A cluster's members are rows of the membership table, not a column.
@@ -227,7 +224,7 @@ def _create_table(name: str, columns, constraints: dict[str, str], *table_constr
     field, then the table constraints; a column missing from ``constraints``
     is NOT NULL."""
     lines = [
-        f"    {c.name} {_SQL_TYPES[c.type]} {constraints.get(c.name, 'NOT NULL')}"
+        f"    {c.name} {_FIELD_TYPES[c.type][0]} {constraints.get(c.name, 'NOT NULL')}"
         for c in columns
     ]
     lines += [f"    {constraint}" for constraint in table_constraints]
@@ -266,19 +263,33 @@ _SCHEMA = (
 )
 
 
-def _json_columns(columns) -> set[int]:
-    return {i for i, c in enumerate(columns) if c.type == _JSON_LIST}
+def row_decoder(columns):
+    """A function from stored values, in ``columns`` order, to the list of
+    the fields' values: a value of a type its field does not store raises
+    TypeError, and one its field's parser refuses raises ValueError."""
+    _, kinds, parsers = zip(*(_FIELD_TYPES[c.type] for c in columns))
+    parsed = [(i, parse) for i, parse in enumerate(parsers) if parse]
+
+    def decode(row) -> list:
+        values = list(row)
+        if tuple(map(type, values)) != kinds:
+            value, kind = next((v, k) for v, k in zip(values, kinds) if type(v) is not k)
+            raise TypeError(f"{value!r} is not {kind.__name__}")
+        for i, parse in parsed:
+            values[i] = parse(values[i])
+        return values
+
+    return decode
 
 
 def _insert(conn: sqlite3.Connection, table: str, columns, records: list) -> None:
     """Insert dataclass records, one column per field in ``columns``; a
     tuple is stored as its JSON list."""
     names = [c.name for c in columns]
-    rows = map(attrgetter(*names), records)
-    if json_at := _json_columns(columns):
-        rows = (
-            [json.dumps(v) if i in json_at else v for i, v in enumerate(row)] for row in rows
-        )
+    rows = (
+        [json.dumps(v) if type(v) is tuple else v for v in row]
+        for row in map(attrgetter(*names), records)
+    )
     conn.executemany(
         f"INSERT INTO {table} ({', '.join(names)}) VALUES ({','.join('?' * len(names))})",
         rows,
@@ -286,16 +297,11 @@ def _insert(conn: sqlite3.Connection, table: str, columns, records: list) -> Non
 
 
 def _rows(conn: sqlite3.Connection, table: str, columns, order_by: str):
-    """Every row of ``table``, its values in ``columns`` order; a JSON list
-    comes back as a tuple."""
+    """Every row of ``table``, its values in ``columns`` order, decoded by
+    their fields' types."""
     names = ", ".join(c.name for c in columns)
     rows = conn.execute(f"SELECT {names} FROM {table} ORDER BY {order_by}")
-    if json_at := _json_columns(columns):
-        rows = (
-            [tuple(json.loads(v)) if i in json_at else v for i, v in enumerate(row)]
-            for row in rows
-        )
-    return rows
+    return map(row_decoder(columns), rows)
 
 
 def _select(conn: sqlite3.Connection, cls: type, table: str, order_by: str) -> list:
@@ -371,7 +377,7 @@ def load_library(path: str, expected_config_hash: str | None = None) -> ContentL
             metadata = dict(conn.execute("SELECT key, value FROM metadata ORDER BY key"))
         finally:
             conn.close()
-    except sqlite3.DatabaseError as exc:
+    except (sqlite3.DatabaseError, TypeError, ValueError) as exc:
         raise CorruptStore(f"cannot read library at {path!r}: {exc}") from exc
     library = ContentLibrary(
         compounds=compounds,
@@ -415,12 +421,12 @@ def export_level_curves(library: ContentLibrary) -> tuple[list[tuple], list[tupl
     """Per-compound cluster size (N) and spread (S) curves as table rows.
 
     Returns the pair (n_rows, s_rows); each row is the compound id followed
-    by one value per difficulty level, in ``LEVELS`` order.
+    by one value per difficulty level, in ``Difficulty`` order.
     """
     n_rows = []
     s_rows = []
     for compound in sorted(library.compounds, key=lambda c: c.compound_id):
-        clusters = [library.cluster_for(compound.compound_id, level) for level in LEVELS]
+        clusters = [library.cluster_for(compound.compound_id, level) for level in Difficulty]
         n_rows.append((compound.compound_id, *(c.n for c in clusters)))
         s_rows.append((compound.compound_id, *(c.s for c in clusters)))
     return n_rows, s_rows

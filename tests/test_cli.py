@@ -23,15 +23,15 @@ from segforge.clustering import ClusterSummary, NoFeasibleThreshold, ThresholdCa
 from segforge.config import load_config
 from segforge.contentspace import (
     FEATURE_NAMES,
-    LEVELS,
     PATH,
+    Difficulty,
     extract_features,
     maze_from_record,
     maze_record_json,
 )
 from segforge.engine import ActionTally, SessionRecord, SimEvent, maze_tree
 from segforge.knowledge import CompoundAnnotation
-from segforge.mapping import GameRecord, MappingEntry
+from segforge.mapping import GameRecord, MappingEntry, load_library
 
 TEST_CONFIG = """\
 maze.count = 24
@@ -386,23 +386,54 @@ def test_games_table_missing_a_column_fails_cleanly(workdir, tmp_path, capsys):
     assert "games.csv line 3" in err and "total_path" in err
 
 
-@pytest.mark.parametrize("stage", ["cluster", "map"])
-def test_game_with_unknown_difficulty_fails_cleanly(workdir, tmp_path, capsys, stage):
+@pytest.mark.parametrize(
+    "stage, name",
+    [
+        pytest.param("cluster", "games.csv", id="cluster"),
+        pytest.param("map", "games.csv", id="map"),
+        pytest.param("map", "clusters.csv", id="map-clusters.csv"),
+        pytest.param("simulate", "library.sqlite", id="simulate-library.sqlite"),
+    ],
+)
+def test_game_with_unknown_difficulty_fails_cleanly(workdir, tmp_path, capsys, stage, name):
     config, out = workdir
     broken = tmp_path / "eazy"
-    broken.mkdir()
-    for name in ("annotations.jsonl", "clusters.csv", "membership.csv"):
-        shutil.copy(out / name, broken / name)
-    lines = (out / "games.csv").read_text().splitlines()
-    column = lines[1].split(",").index("difficulty")
-    rows = [line.split(",") for line in lines]
-    number = next(i for i, row in enumerate(rows[2:], 2) if row[column] == "easy")
-    rows[number][column] = "eazy"
-    (broken / "games.csv").write_text("\n".join(",".join(row) for row in rows) + "\n")
+    shutil.copytree(out, broken)
+    if name == "library.sqlite":
+        conn = sqlite3.connect(broken / name)
+        conn.execute(
+            "UPDATE games SET difficulty = 'eazy' WHERE game_id = "
+            "(SELECT MIN(game_id) FROM games WHERE difficulty = 'easy')"
+        )
+        conn.commit()
+        conn.close()
+        where = "library.sqlite"
+    else:
+        lines = (out / name).read_text().splitlines()
+        column = lines[1].split(",").index("difficulty")
+        rows = [line.split(",") for line in lines]
+        number = next(i for i, row in enumerate(rows[2:], 2) if row[column] == "easy")
+        rows[number][column] = "eazy"
+        (broken / name).write_text("\n".join(",".join(row) for row in rows) + "\n")
+        where = f"{name} line {number + 1}"
     assert main([stage, "--config", str(config), "--out", str(broken)]) == 1
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1
-    assert f"games.csv line {number + 1}" in err and "'eazy'" in err
+    assert where in err and "'eazy'" in err
+
+
+def test_artifact_readers_give_each_level_as_a_difficulty(workdir):
+    config, out = workdir
+    config_hash = load_config(config).config_hash()
+    library = load_library(str(out / "library.sqlite"))
+    records = (
+        cli._load_games(out, config_hash)
+        + cli._load_summaries(out, config_hash)
+        + library.games
+        + library.clusters
+        + library.mapping
+    )
+    assert {type(record.difficulty) for record in records} == {Difficulty}
 
 
 @pytest.mark.parametrize("stage", ["cluster", "map"])
@@ -451,6 +482,53 @@ def test_malformed_sessions_fail_cleanly(workdir, tmp_path, capsys, lines, bad_l
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1
     assert f"sessions.jsonl line {bad_line}" in err
+
+
+_MISSING = object()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("atom_1_number", "x"),
+        ("atom_1_number", None),
+        ("atom_1_number", True),
+        ("formula", None),
+        ("compound_id", _MISSING),
+        ("compound_id", None),
+        ("compound_id", "x"),
+        ("compound_id", True),
+    ],
+    ids=[
+        "atom-number-text",
+        "atom-number-null",
+        "atom-number-bool",
+        "formula-null",
+        "compound-id-missing",
+        "compound-id-null",
+        "compound-id-text",
+        "compound-id-bool",
+    ],
+)
+def test_retyped_annotation_fails_cleanly(workdir, tmp_path, capsys, field, value):
+    config, out = workdir
+    broken = tmp_path / "retyped"
+    broken.mkdir()
+    for name in ("games.csv", "clusters.csv", "membership.csv"):
+        shutil.copy(out / name, broken / name)
+    lines = (out / "annotations.jsonl").read_text().splitlines()
+    record = json.loads(lines[3])
+    if value is _MISSING:
+        del record[field]
+    else:
+        record[field] = value
+    lines[3] = json.dumps(record)
+    (broken / "annotations.jsonl").write_text("\n".join(lines) + "\n")
+    assert main(["map", "--config", str(config), "--out", str(broken)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "annotations.jsonl line 4" in err
+    assert not (broken / "library.sqlite").exists()
 
 
 @pytest.mark.parametrize(
@@ -504,8 +582,8 @@ def test_simulate_logs_recycles_and_exhausted_pools(workdir, tmp_path, caplog, r
     events = [json.loads(line) for line in (run / "events.jsonl").open()][1:]
     # a player's practice game fixes the level of all its sessions
     level_of = {s["player_id"]: s["difficulty"] for s in sessions}
-    recycled = dict.fromkeys(LEVELS, 0)
-    exhausted = dict.fromkeys(LEVELS, 0)
+    recycled = dict.fromkeys(Difficulty, 0)
+    exhausted = dict.fromkeys(Difficulty, 0)
     for s in sessions:
         recycled[s["difficulty"]] += s["recycled"]
     for e in events:
@@ -552,8 +630,14 @@ def test_cluster_pauses_the_collector_and_restores_it(workdir, tmp_path, monkeyp
     config, out = workdir
     shutil.copyfile(out / "games.csv", tmp_path / "games.csv")
     real_search = cli.search_threshold
+    real_load = cli._load_games
     seen = []
+    loaded = []
     failing = []
+
+    def load(*args):
+        loaded.append(garbage() is None)
+        return real_load(*args)
 
     def search(*args, **kwargs):
         seen.append((gc.isenabled(), garbage() is None))
@@ -562,6 +646,7 @@ def test_cluster_pauses_the_collector_and_restores_it(workdir, tmp_path, monkeyp
         return real_search(*args, **kwargs)
 
     monkeypatch.setattr(cli, "search_threshold", search)
+    monkeypatch.setattr(cli, "_load_games", load)
     was_collecting = gc.isenabled()
     try:
         (gc.enable if collecting else gc.disable)()
@@ -581,9 +666,10 @@ def test_cluster_pauses_the_collector_and_restores_it(workdir, tmp_path, monkeyp
     finally:
         (gc.enable if was_collecting else gc.disable)()
     # paused in each level's search and in the failing one; a caller's
-    # disabled collector is left alone, and frees nothing
-    assert [enabled for enabled, _ in seen] == [False] * (len(LEVELS) + 1)
-    assert seen[0][1] is collecting
+    # disabled collector is left alone, and frees nothing; garbage that is
+    # already there goes before the games are loaded
+    assert [enabled for enabled, _ in seen] == [False] * (len(Difficulty) + 1)
+    assert loaded[0] is seen[0][1] is collecting
     assert (tmp_path / "clusters.csv").read_bytes() == (out / "clusters.csv").read_bytes()
 
 

@@ -23,6 +23,7 @@ from segforge.engine import (
     EmptyPool,
     ImperfectMaze,
     MazeTree,
+    POLICIES,
     PlayerProfile,
     SessionRecord,
     UnknownMaterial,
@@ -322,8 +323,9 @@ def test_bot_seeds_differ(small_tree):
 
 
 def test_bot_rejects_unknown_policy(small_tree):
-    with pytest.raises(ValueError):
-        bot_simulate(small_tree, EASY_PARAMS, "perfect", seed=0)
+    assert set(POLICIES) == {"random", "greedy"}
+    with pytest.raises(ValueError, match="'clever', not one of random, greedy"):
+        bot_simulate(small_tree, EASY_PARAMS, "clever", seed=0)
 
 
 def test_bot_respects_time_and_tallies(small_tree):
@@ -535,7 +537,7 @@ def practice_maze():
 def test_practice_sets_mastery_consistently(practice_maze):
     profile = PlayerProfile("p1")
     record = practice_session(profile, practice_maze, "greedy", seed=3)
-    assert record.difficulty == "practice"
+    assert record.difficulty is None
     assert record.compound_id == 0
     assert profile.mastery is assess_level(record.score)
 
