@@ -50,6 +50,7 @@ from .engine import (
     MazeTree,
     PlayerProfile,
     maze_tree,
+    perfect_maze,
     practice_session,
     practice_tree,
     run_session,
@@ -223,6 +224,15 @@ def _read_jsonl(
         raise _malformed(path, 1, ValueError("empty file, no meta line"))
     _check_hash(meta.get("config_hash"), config_hash, path)
     return meta, records
+
+
+def _record_line(path: Path, index: int) -> int:
+    """The line number of record ``index`` (from 0) of a JSONL file that
+    ``_read_jsonl`` has read, counted as it counts them: line 1 is the meta
+    line and a blank line holds no record."""
+    with path.open("rb") as handle:
+        numbers = [n for n, raw in enumerate(handle, 1) if n > 1 and raw.decode("utf-8").strip()]
+    return numbers[index]
 
 
 class _WorkspaceLock:
@@ -435,13 +445,30 @@ def _load_summaries(out: Path, config_hash: str) -> list[ClusterSummary]:
 def run_map(config: PipelineConfig, out: Path, export_plots: bool = False) -> None:
     config_hash = config.config_hash()
     decode = row_decoder(fields(CompoundAnnotation))
+    seen: set[int] = set()
 
     def compound(record: dict) -> CompoundAnnotation:
         # the first build refuses a missing or unknown field, the decoders a
         # value that is not of its field's type, a missing compound_id too
-        return CompoundAnnotation(*decode(vars(CompoundAnnotation(**record)).values()))
+        annotation = CompoundAnnotation(*decode(vars(CompoundAnnotation(**record)).values()))
+        if annotation.compound_id in seen:
+            raise ValueError(f"compound_id {annotation.compound_id} repeats an earlier record")
+        seen.add(annotation.compound_id)
+        return annotation
 
-    _, compounds = _read_jsonl(out / "annotations.jsonl", config_hash, compound)
+    path = out / "annotations.jsonl"
+    _, compounds = _read_jsonl(path, config_hash, compound)
+    # distinct ids, so every id lies in 1..N only if they are exactly 1..N,
+    # the curriculum positions the sessions walk through
+    stray = next(
+        (i for i, c in enumerate(compounds) if not 1 <= c.compound_id <= len(compounds)), None
+    )
+    if stray is not None:
+        problem = ValueError(
+            f"compound_id {compounds[stray].compound_id} is not in 1..{len(compounds)}, "
+            f"the positions of the file's {len(compounds)} compounds"
+        )
+        raise _malformed(path, _record_line(path, stray), problem)
     games = _load_games(out, config_hash)
     summaries = _load_summaries(out, config_hash)
     by_level = {level: [s for s in summaries if s.difficulty == level] for level in Difficulty}
@@ -513,11 +540,12 @@ def run_simulate(config: PipelineConfig, out: Path) -> None:
     missing = next((maze_id for maze_id in games_on if maze_id not in stored), None)
     if missing is not None:
         raise MalformedArtifact(f"mazes.jsonl has no maze {missing!r}, which the library uses")
-    # the bots route on each maze's spanning tree
+    # the bots route on each maze's spanning tree; the routing tables are
+    # built only for the mazes a cohort plays
     for maze_id in sorted(games_on):
         grid, features = stored[maze_id]
         try:
-            maze_tree(grid)
+            perfect_maze(grid)
         except ImperfectMaze as exc:
             raise MalformedArtifact(f"mazes.jsonl: {exc}") from None
         _check_features(grid, features, games_on[maze_id])

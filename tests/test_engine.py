@@ -34,6 +34,7 @@ from segforge.engine import (
     candidate_pool,
     maze_tree,
     next_material,
+    perfect_maze,
     practice_session,
     practice_tree,
     run_session,
@@ -241,8 +242,9 @@ def test_pool_exhaustion_raises(world):
 
 def test_pool_unknown_material(world):
     library, _ = world
-    with pytest.raises(UnknownMaterial):
+    with pytest.raises(UnknownMaterial) as caught:
         candidate_pool(library, 99, Difficulty.EASY, played=set())
+    assert str(caught.value) == "no cluster mapped for compound 99 at 'easy'"
 
 
 # ===== Game selection =====
@@ -356,6 +358,34 @@ def test_greedy_beats_random_on_easy_games(small_tree):
     assert greedy > rand
 
 
+def _inline_choice(rng: random.Random, seq: tuple):
+    """The draw that _random_turn and _enemy_turn write out in place of
+    ``rng.choice(seq)``."""
+    n = len(seq)
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return seq[r]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_inline_draw_matches_random_choice(n):
+    # the bots' moves, and so every random session and event, rest on this
+    seq = tuple(f"step-{i}" for i in range(n))
+    for seed in range(300):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for step in range(12):
+            if step % 3 == 1:
+                assert ours.random() == theirs.random()
+            assert _inline_choice(ours, seq) == theirs.choice(seq), (
+                f"Random.choice of {n} items no longer draws n.bit_length() bits "
+                "until they fall below n on this interpreter; the inline draws "
+                "in engine.py must follow its rule"
+            )
+        assert ours.getstate() == theirs.getstate()
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     maze_seed=st.integers(0, 10**6),
@@ -382,6 +412,7 @@ def _tables(tree: MazeTree) -> tuple:
         tree.cells,
         tree.path_cells,
         list(tree.adjacent.items()),
+        list(tree.wander.items()),
         list(tree.lineage.items()),
     )
 
@@ -432,13 +463,26 @@ ISLAND_GRID = _grid(
     "#...#.#",
     "#######",
 )
+# one edge fewer than cells, yet not a tree: only the reachability test fails
+LOOP_AND_ISLAND_GRID = _grid(
+    "######",
+    "#..#.#",
+    "#..###",
+    "######",
+)
 
 
-@pytest.mark.parametrize("grid", [LOOP_GRID, ISLAND_GRID], ids=["loop", "island"])
+@pytest.mark.parametrize(
+    "grid",
+    [LOOP_GRID, ISLAND_GRID, LOOP_AND_ISLAND_GRID],
+    ids=["loop", "island", "loop-and-island"],
+)
 def test_bot_rejects_a_maze_that_is_not_a_tree(grid):
-    # a bot plays only on a MazeTree, which such a maze cannot have
-    with pytest.raises(ImperfectMaze, match="'hand' is not a perfect maze"):
-        maze_tree(grid)
+    # a bot plays only on a MazeTree, which such a maze cannot have, and
+    # simulate's check of every library maze refuses it too
+    for build in (maze_tree, perfect_maze):
+        with pytest.raises(ImperfectMaze, match="'hand' is not a perfect maze"):
+            build(grid)
 
 
 def test_maze_tree_spans_every_path_cell(small_grid):
@@ -447,6 +491,7 @@ def test_maze_tree_spans_every_path_cell(small_grid):
     assert tree.maze_id == small_grid.maze_id and tree.cells is small_grid.cells
     assert list(path_cells) == sorted(path_cells, key=lambda c: (c[1], c[0]))
     assert set(adjacent) == set(lineage) == set(path_cells)
+    assert tree.wander == {cell: around + (cell,) for cell, around in adjacent.items()}
     root = path_cells[0]
     for cell, line in lineage.items():
         assert line[0] is root and line[-1] is cell
@@ -460,7 +505,8 @@ def test_maze_tree_spans_every_path_cell(small_grid):
     canonical = {id(cell) for cell in path_cells}
     assert len(canonical) == len(path_cells)
     assert {id(c) for neighbors in adjacent.values() for c in neighbors} <= canonical
-    assert {id(c) for c in (*adjacent, *lineage)} <= canonical
+    assert {id(c) for steps in tree.wander.values() for c in steps} <= canonical
+    assert {id(c) for c in (*adjacent, *tree.wander, *lineage)} <= canonical
     assert {id(c) for line in lineage.values() for c in line} <= canonical
 
 

@@ -2,14 +2,17 @@
 
 ``segforge pipeline --export-plots`` runs at ``maze.count = 54`` with every
 other setting at its default (greedy bots, 10 players x 25 sessions). Each
-file of the run directory must hash to the digest recorded here. A change
-that alters an artifact's bytes must update its digest and argue for the
-change in CHANGES.md.
+file of the run directory must hash to the digest recorded here. A random
+cohort of 40 players x 25 sessions then plays the same library and maze
+files, through ``simulate`` and ``analyze``, and its four files must hash to
+their digests too. A change that alters an artifact's bytes must update its
+digest and argue for the change in CHANGES.md.
 """
 
 from __future__ import annotations
 
 import hashlib
+import shutil
 
 import pytest
 
@@ -35,6 +38,15 @@ GOLDEN_SHA256 = {
     "threshold_log.csv": "a79571b53afc9d6434e131cd02a78fd2ec3218817a17057faaa20403030c14cc",
 }
 
+RANDOM_CONFIG = GOLDEN_CONFIG + "sim.policy = random\nsim.players = 40\n"
+
+RANDOM_SHA256 = {
+    "events.jsonl": "26f26d33ac3f8bf51ff10f0fe495c13d53f7ba63c67541efeddbdbdeea2d7d04",
+    "report.txt": "d703e616160855a1f64e95df434b2dcb5388ceb874b90c3edb47f83564d59370",
+    "report_numbers.csv": "171c7a681ec4189d94950baf49badfbeaafe6d7fbf66e277b23a147966841927",
+    "sessions.jsonl": "45609142fe3e3ab784f152cfb33f5f0fa8c19b2a6d980a4bbb89df08a03fe0e0",
+}
+
 
 @pytest.fixture(scope="module")
 def golden_run(tmp_path_factory):
@@ -47,6 +59,20 @@ def golden_run(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def random_run(golden_run, tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden-random")
+    config = root / "random.conf"
+    config.write_text(RANDOM_CONFIG)
+    out = root / "out"
+    out.mkdir()
+    for name in ("library.sqlite", "mazes.jsonl"):
+        shutil.copyfile(golden_run / name, out / name)
+    for stage in ("simulate", "analyze"):
+        assert main([stage, "--config", str(config), "--out", str(out)]) == 0
+    return out
+
+
 def test_run_directory_holds_exactly_the_golden_files(golden_run):
     assert sorted(p.name for p in golden_run.iterdir()) == sorted(GOLDEN_SHA256)
 
@@ -55,6 +81,12 @@ def test_run_directory_holds_exactly_the_golden_files(golden_run):
 def test_artifact_matches_golden_digest(golden_run, name):
     digest = hashlib.sha256((golden_run / name).read_bytes()).hexdigest()
     assert digest == GOLDEN_SHA256[name], name
+
+
+@pytest.mark.parametrize("name", sorted(RANDOM_SHA256))
+def test_random_cohort_matches_golden_digest(random_run, name):
+    digest = hashlib.sha256((random_run / name).read_bytes()).hexdigest()
+    assert digest == RANDOM_SHA256[name], name
 
 
 def test_stage_table_declares_each_golden_file_once():
