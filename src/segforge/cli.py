@@ -19,6 +19,8 @@ import io
 import json
 import logging
 import os
+import pickle
+import signal
 import sys
 import tempfile
 from dataclasses import dataclass, field, fields
@@ -27,7 +29,13 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__
-from .clustering import ClusterSummary, ThresholdCandidate, search_threshold, summarize
+from .clustering import (
+    ClusterSummary,
+    ThresholdCandidate,
+    ThresholdSearchResult,
+    search_threshold,
+    summarize,
+)
 from .config import PipelineConfig, default_config_text, load_config
 from .contentspace import (
     FEATURE_NAMES,
@@ -355,32 +363,25 @@ def run_cluster(config: PipelineConfig, out: Path) -> None:
     raw = {game.game_id: game.vector() for game in games}
     # one scaler over the whole space keeps the three levels comparable
     scaler = FeatureScaler.fit(list(raw.values()))
+    work = {}
+    for level in Difficulty:
+        tags = sorted(game.game_id for game in games if game.difficulty == level)
+        work[level] = (tags, scaler.transform([raw[tag] for tag in tags]))
+    # without os.sched_getaffinity (not Linux) or a second CPU, no fork
+    if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
+        outcomes = _search_in_two_processes(config, work, collecting)
+    else:
+        outcomes = _search_levels(config, work, collecting)
 
     cluster_rows = []
     member_rows = []
     log_rows = []
     for level in Difficulty:
-        tags = sorted(game.game_id for game in games if game.difficulty == level)
-        points = scaler.transform([raw[tag] for tag in tags])
-        # The search's trees and clusters stay alive until it returns, so the
-        # cyclic collector would walk them again and again and free nothing.
-        # What is garbage already is freed first rather than held through it.
-        if collecting:
-            gc.collect()
-            gc.disable()
-        try:
-            result = search_threshold(
-                points,
-                tags,
-                grid=config.cluster_threshold_grid,
-                k=config.cluster_k,
-                branching=config.cluster_branching,
-                sample_cap=config.cluster_sample_cap,
-                seed=config.cluster_seed,
-            )
-        finally:
-            if collecting:
-                gc.enable()
+        # in level order, so the error raised is the first failing level's,
+        # as when the levels run one after another
+        result = outcomes[level]
+        if isinstance(result, Exception):
+            raise result
         # csv writes a float as its repr and None as an empty field
         for candidate in result.log:
             selected = "true" if candidate.threshold == result.best_threshold else "false"
@@ -408,6 +409,94 @@ def run_cluster(config: PipelineConfig, out: Path) -> None:
         out / "threshold_log.csv",
         _csv_text(config_hash, THRESHOLD_LOG_COLUMNS, log_rows),
     )
+
+
+_LevelWork = dict[Difficulty, tuple[list[str], list[tuple[float, ...]]]]
+
+
+def _search_levels(
+    config: PipelineConfig, work: _LevelWork, collecting: bool
+) -> dict[Difficulty, ThresholdSearchResult | Exception]:
+    """Each level's threshold search, in the order of ``work``, up to the
+    first that raises; that level's exception stands in for its result."""
+    outcomes: dict[Difficulty, ThresholdSearchResult | Exception] = {}
+    for level, (tags, points) in work.items():
+        # The search's trees and clusters stay alive until it returns, so the
+        # cyclic collector would walk them again and again and free nothing.
+        # What is garbage already is freed first rather than held through it.
+        if collecting:
+            gc.collect()
+            gc.disable()
+        try:
+            outcomes[level] = search_threshold(
+                points,
+                tags,
+                grid=config.cluster_threshold_grid,
+                k=config.cluster_k,
+                branching=config.cluster_branching,
+                sample_cap=config.cluster_sample_cap,
+                seed=config.cluster_seed,
+            )
+        except Exception as exc:
+            outcomes[level] = exc
+            break
+        finally:
+            if collecting:
+                gc.enable()
+    return outcomes
+
+
+def _search_in_two_processes(
+    config: PipelineConfig, work: _LevelWork, collecting: bool
+) -> dict[Difficulty, ThresholdSearchResult | Exception]:
+    """``_search_levels`` with the level of the most games searched in this
+    process and the others, in order, in one forked child.
+
+    This process keeps the largest search, so its own peak memory and its
+    own timings still cover the stage's largest level. The child sends its
+    outcomes back pickled over a pipe and ends with ``os._exit``: it never
+    runs this process's ``finally`` blocks or exit handlers, and never
+    flushes the stdio buffers it inherited.
+    """
+    own = max(work, key=lambda level: len(work[level][0]))
+    forked = {level: task for level, task in work.items() if level != own}
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError as exc:  # no process to spare: the same searches, one by one
+        os.close(read_fd)
+        os.close(write_fd)
+        logger.warning("cannot fork (%s); searching every level in this process", exc.strerror)
+        return _search_levels(config, work, collecting)
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            payload = pickle.dumps(_search_levels(config, forked, collecting))
+            with open(write_fd, "wb") as pipe:
+                pipe.write(payload)
+            status = 0
+        finally:
+            os._exit(status)
+
+    os.close(write_fd)
+    reaped = False
+    try:
+        with open(read_fd, "rb") as pipe:
+            outcomes = _search_levels(config, {own: work[own]}, collecting)
+            # the child blocks on a full pipe until this read drains it
+            payload = pipe.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        reaped = True
+    finally:
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if code != 0:
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        names = " and ".join(str(level) for level in forked)
+        raise SegforgeError(f"the process clustering {names} {how} before sending its result")
+    return {**pickle.loads(payload), **outcomes}
 
 
 def _load_games(out: Path, config_hash: str) -> list[GameRecord]:

@@ -8,6 +8,7 @@ import json
 import logging
 import os
 import shutil
+import signal
 import sqlite3
 import subprocess
 import sys
@@ -658,12 +659,17 @@ class _Node:
     pass
 
 
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-process", "two-processes"])
 @pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
-def test_cluster_pauses_the_collector_and_restores_it(workdir, tmp_path, monkeypatch, collecting):
+def test_cluster_pauses_the_collector_and_restores_it(
+    workdir, tmp_path, monkeypatch, collecting, cpus
+):
     config, out = workdir
     shutil.copyfile(out / "games.csv", tmp_path / "games.csv")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     real_search = cli.search_threshold
     real_load = cli._load_games
+    # filled in this process only: a forked child's searches leave no trace
     seen = []
     loaded = []
     failing = []
@@ -698,12 +704,105 @@ def test_cluster_pauses_the_collector_and_restores_it(workdir, tmp_path, monkeyp
         assert gc.isenabled() is collecting
     finally:
         (gc.enable if was_collecting else gc.disable)()
-    # paused in each level's search and in the failing one; a caller's
-    # disabled collector is left alone, and frees nothing; garbage that is
-    # already there goes before the games are loaded
-    assert [enabled for enabled, _ in seen] == [False] * (len(Difficulty) + 1)
+    # paused in each level's search here and in the failing one: every level
+    # on one CPU, only the level of the most games with a forked child; a
+    # caller's disabled collector is left alone, and frees nothing; garbage
+    # that is already there goes before the games are loaded
+    searched_here = len(Difficulty) if len(cpus) == 1 else 1
+    assert [enabled for enabled, _ in seen] == [False] * (searched_here + 1)
     assert loaded[0] is seen[0][1] is collecting
     assert (tmp_path / "clusters.csv").read_bytes() == (out / "clusters.csv").read_bytes()
+
+
+def _level_of_tags(out):
+    """The level of each search's tags: its games' ids, sorted."""
+    ids = {}
+    for row in _read_rows(out / "games.csv"):
+        ids.setdefault(row["difficulty"], []).append(row["game_id"])
+    return {tuple(sorted(tags)): level for level, tags in ids.items()}
+
+
+@pytest.mark.parametrize(
+    "failing",
+    [("easy",), ("hard",), ("easy", "medium", "hard")],
+    ids=["easy", "hard", "every-level"],
+)
+def test_failed_search_in_the_child_reads_as_in_one_process(
+    workdir, tmp_path, monkeypatch, capsys, failing
+):
+    config, out = workdir
+    shutil.copyfile(out / "games.csv", tmp_path / "games.csv")
+    level_of = _level_of_tags(out)
+    real_search = cli.search_threshold
+    real_exit = cli._WorkspaceLock.__exit__
+    exits = tmp_path / "lock_exits"
+
+    def search(points, tags, **kwargs):
+        level = level_of[tuple(tags)]
+        if level in failing:
+            raise NoFeasibleThreshold(f"no grid threshold gave {level} enough clusters")
+        return real_search(points, tags, **kwargs)
+
+    def lock_exit(self, *exc_info):
+        with exits.open("a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return real_exit(self, *exc_info)
+
+    monkeypatch.setattr(cli, "search_threshold", search)
+    monkeypatch.setattr(cli._WorkspaceLock, "__exit__", lock_exit)
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    errors = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        assert main(["cluster", "--config", str(config), "--out", str(tmp_path)]) == 1
+        errors.append(capsys.readouterr().err)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert not (tmp_path / ".segforge.lock").exists()
+    assert len(forks) == 1
+    # the first failing level's error, from whichever process searched it
+    assert errors == [f"segforge cluster: no grid threshold gave {failing[0]} enough clusters\n"] * 2
+    # only this process let the lock go, once per run
+    assert exits.read_text().split() == [str(os.getpid())] * 2
+    assert not (tmp_path / "clusters.csv").exists()
+
+
+@pytest.mark.parametrize("stop", ["child-killed", "parent-interrupted"])
+def test_stopped_search_leaves_no_process(workdir, tmp_path, monkeypatch, capsys, stop):
+    config, out = workdir
+    shutil.copyfile(out / "games.csv", tmp_path / "games.csv")
+    level_of = _level_of_tags(out)
+    real_search = cli.search_threshold
+    parent = os.getpid()
+
+    def search(points, tags, **kwargs):
+        level = level_of[tuple(tags)]
+        if stop == "child-killed" and level == "easy":
+            assert os.getpid() != parent, "easy was searched without a fork"
+            os.kill(os.getpid(), signal.SIGKILL)
+        if stop == "parent-interrupted" and level == "medium":
+            assert os.getpid() == parent, "medium was searched in the child"
+            raise KeyboardInterrupt
+        return real_search(points, tags, **kwargs)
+
+    monkeypatch.setattr(cli, "search_threshold", search)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    argv = ["cluster", "--config", str(config), "--out", str(tmp_path)]
+    if stop == "child-killed":
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "segforge cluster: the process clustering easy and hard was killed by"
+            f" signal {int(signal.SIGKILL)} before sending its result\n"
+        )
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not (tmp_path / ".segforge.lock").exists()
+    assert not (tmp_path / "clusters.csv").exists()
 
 
 def test_early_stages_are_deterministic(workdir, tmp_path):

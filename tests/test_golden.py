@@ -11,7 +11,9 @@ digest and argue for the change in CHANGES.md.
 
 from __future__ import annotations
 
+import errno
 import hashlib
+import os
 import shutil
 
 import pytest
@@ -87,6 +89,37 @@ def test_artifact_matches_golden_digest(golden_run, name):
 def test_random_cohort_matches_golden_digest(random_run, name):
     digest = hashlib.sha256((random_run / name).read_bytes()).hexdigest()
     assert digest == RANDOM_SHA256[name], name
+
+
+CLUSTER_FILES = ("clusters.csv", "membership.csv", "threshold_log.csv")
+
+
+def test_cluster_bytes_do_not_depend_on_the_process_count(golden_run, tmp_path, monkeypatch):
+    """The cluster stage forked, on one CPU, and with a fork that fails,
+    which searches every level in this process as on one CPU."""
+    config = tmp_path / "golden.conf"
+    config.write_text(GOLDEN_CONFIG)
+    real_fork = os.fork
+    forks = []
+
+    def fork():
+        forks.append(mode)
+        if mode == "fork-fails":
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    produced = {}
+    for mode, cpus in (("forked", {0, 1}), ("one-cpu", {0}), ("fork-fails", {0, 1})):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        out = tmp_path / mode
+        out.mkdir()
+        shutil.copyfile(golden_run / "games.csv", out / "games.csv")
+        assert main(["cluster", "--config", str(config), "--out", str(out)]) == 0
+        produced[mode] = {name: (out / name).read_bytes() for name in CLUSTER_FILES}
+    assert forks == ["forked", "fork-fails"]
+    golden = {name: (golden_run / name).read_bytes() for name in CLUSTER_FILES}
+    assert produced["forked"] == produced["one-cpu"] == produced["fork-fails"] == golden
 
 
 def test_stage_table_declares_each_golden_file_once():
