@@ -659,11 +659,20 @@ class _Node:
     pass
 
 
-@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-process", "two-processes"])
 @pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
-def test_cluster_pauses_the_collector_and_restores_it(
-    workdir, tmp_path, monkeypatch, collecting, cpus
+def test_cluster_pauses_the_collector_and_restores_it(workdir, tmp_path, monkeypatch, collecting):
+    _check_cluster_pauses_the_collector(workdir, tmp_path, monkeypatch, collecting, {0})
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+def test_cluster_on_two_processes_pauses_the_collector_and_restores_it(
+    workdir, tmp_path, monkeypatch, collecting
 ):
+    _check_cluster_pauses_the_collector(workdir, tmp_path, monkeypatch, collecting, {0, 1})
+
+
+def _check_cluster_pauses_the_collector(workdir, tmp_path, monkeypatch, collecting, cpus):
+    """Run the cluster stage, then a failing one, with the given usable CPUs."""
     config, out = workdir
     shutil.copyfile(out / "games.csv", tmp_path / "games.csv")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
