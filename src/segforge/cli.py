@@ -75,6 +75,7 @@ from .mapping import (
     load_library,
     row_decoder,
     save_library,
+    text_parser,
     validate_library,
 )
 
@@ -93,8 +94,6 @@ _summary_values = attrgetter(*(f.name for f in _SUMMARY_SCALARS))
 _CANDIDATE_COLUMNS = tuple(f.name for f in fields(ThresholdCandidate))
 _candidate_values = attrgetter(*_CANDIDATE_COLUMNS)
 THRESHOLD_LOG_COLUMNS = ("difficulty",) + _CANDIDATE_COLUMNS + ("selected",)
-
-_PARSERS = {"str": str, "int": int, "float": float, "Difficulty": Difficulty}
 
 
 class MissingPrerequisite(SegforgeError):
@@ -189,7 +188,7 @@ def _read_csv(path: Path, config_hash: str, convert) -> list:
 
 def _row_parser(cls: type):
     """Build a ``cls`` record from a CSV row, parsing each field by its type."""
-    parsers = [(f.name, _PARSERS[f.type]) for f in fields(cls)]
+    parsers = [(f.name, text_parser(f.type)) for f in fields(cls)]
     return lambda row: cls(*[parse(row[name]) for name, parse in parsers])
 
 
@@ -305,7 +304,7 @@ def run_annotate(config: PipelineConfig, out: Path) -> None:
         config.compounds_path or None, config.table_path or None
     )
     meta = {"config_hash": config.config_hash(), "count": len(annotations)}
-    _write_jsonl(out / "annotations.jsonl", meta, [a.to_json_line() for a in annotations])
+    _write_jsonl(out / "annotations.jsonl", meta, [json.dumps(vars(a)) for a in annotations])
     logger.info("annotated %d compounds", len(annotations))
 
 
@@ -519,12 +518,13 @@ def _load_summaries(out: Path, config_hash: str) -> list[ClusterSummary]:
     for cluster_id, game_id in _read_csv(out / "membership.csv", config_hash, pairs):
         members.setdefault(cluster_id, []).append(game_id)
 
-    scalars = [(f.name, _PARSERS[f.type]) for f in _SUMMARY_SCALARS]
+    scalars = [(f.name, text_parser(f.type)) for f in _SUMMARY_SCALARS]
+    coordinate = text_parser("float")
 
     def summary(row: dict[str, str]) -> ClusterSummary:
         return ClusterSummary(
             **{name: parse(row[name]) for name, parse in scalars},
-            centroid=tuple(float(row[c]) for c in CENTROID_COLUMNS),
+            centroid=tuple(coordinate(row[c]) for c in CENTROID_COLUMNS),
             member_game_ids=tuple(sorted(members.get(row["cluster_id"], ()))),
         )
 

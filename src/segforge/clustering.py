@@ -21,9 +21,6 @@ import numpy as np
 from .contentspace import Difficulty
 from .errors import SegforgeError
 
-DEFAULT_BRANCHING = 2
-DEFAULT_THRESHOLD_GRID = (0.005, 0.01, 0.02, 0.04, 0.08)
-DEFAULT_SILHOUETTE_SAMPLE = 2000
 # Stale rows are refreshed in chunks whose difference block holds at most
 # this many floats (1 MiB).
 _REFRESH_FLOATS = 1 << 17
@@ -92,7 +89,7 @@ class _Node:
 class CFTree:
     """Threshold-absorbing CF-tree with nearest-centroid descent."""
 
-    def __init__(self, threshold: float, branching: int = DEFAULT_BRANCHING) -> None:
+    def __init__(self, threshold: float, branching: int) -> None:
         if threshold < 0:
             raise ValueError("threshold must be non-negative")
         if branching < 2:
@@ -244,7 +241,7 @@ def build_tree(
     points: list[tuple[float, ...]],
     tags: list[str],
     threshold: float,
-    branching: int = DEFAULT_BRANCHING,
+    branching: int,
 ) -> CFTree:
     """Insert tagged points in ascending tag order for reproducible trees.
 
@@ -457,19 +454,19 @@ def refine_to_k(clusters: list[Cluster], k: int) -> list[Cluster]:
 def silhouette(
     points: list[tuple[float, ...]],
     labels: list,
-    sample_cap: int | None = DEFAULT_SILHOUETTE_SAMPLE,
-    seed: int = 0,
+    sample_cap: int,
+    seed: int,
 ) -> float:
     """Mean silhouette over the (possibly sampled) labelled points.
 
     Uses Euclidean distances. Singleton points score with a = 0, and a point
     at zero distance from both its own and the nearest foreign cluster
     scores 0. When the point count exceeds ``sample_cap`` a seeded uniform
-    sample is scored instead.
+    sample is scored instead, so a cap of ``len(points)`` scores them all.
     """
     if len(points) != len(labels):
         raise ValueError("points and labels must align")
-    if sample_cap is not None and len(points) > sample_cap:
+    if len(points) > sample_cap:
         rng = random.Random(seed)
         keep = sorted(rng.sample(range(len(points)), sample_cap))
         points = [points[i] for i in keep]
@@ -531,11 +528,11 @@ def search_threshold(
     points: list[tuple[float, ...]],
     tags: list[str],
     *,
-    grid: tuple[float, ...] = DEFAULT_THRESHOLD_GRID,
-    k: int = 100,
-    branching: int = DEFAULT_BRANCHING,
-    sample_cap: int | None = DEFAULT_SILHOUETTE_SAMPLE,
-    seed: int = 0,
+    grid: tuple[float, ...],
+    k: int,
+    branching: int,
+    sample_cap: int,
+    seed: int,
 ) -> ThresholdSearchResult:
     """Pick the grid threshold whose refined clustering scores best.
 

@@ -8,11 +8,12 @@ artifact embeds that hash so downstream stages can detect drift.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .engine import POLICIES
 from .errors import SegforgeError
+from .mapping import text_parser
 
 
 class ConfigInvalid(SegforgeError):
@@ -28,11 +29,15 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+# the artifacts' float parser, which refuses nan and the infinities
+_parse_float = text_parser("float")
+
+
 def _parse_floats(raw: str) -> tuple[float, ...]:
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     if not parts:
         raise ValueError("empty list")
-    return tuple(float(p) for p in parts)
+    return tuple(_parse_float(p) for p in parts)
 
 
 def _parse_grid(raw: str) -> tuple[float, ...]:
@@ -42,64 +47,48 @@ def _parse_grid(raw: str) -> tuple[float, ...]:
     return tuple(sorted(set(values)))
 
 
-# key -> (attribute, parser, default as written in a config file)
-_KEYS: dict[str, tuple[str, object, str]] = {
-    "maze.count": ("maze_count", int, "972"),
-    "maze.width": ("maze_width", int, "21"),
-    "maze.height": ("maze_height", int, "21"),
-    "space.seed": ("space_seed", int, "9001"),
-    "cluster.branching": ("cluster_branching", int, "2"),
-    "cluster.k": ("cluster_k", int, "100"),
-    "cluster.threshold_grid": ("cluster_threshold_grid", _parse_grid, "0.005, 0.01, 0.02, 0.04, 0.08"),
-    "cluster.sample_cap": ("cluster_sample_cap", int, "2000"),
-    "cluster.seed": ("cluster_seed", int, "0"),
-    "score.positive_weights": ("positive_weights", _parse_floats, "1, 1"),
-    "score.negative_weights": ("negative_weights", _parse_floats, "1, 1"),
-    # calibrated against the bundled bot policies; see engine defaults
-    "score.easy_medium": ("easy_medium", float, "3.0"),
-    "score.medium_hard": ("medium_hard", float, "9.0"),
-    "sim.players": ("sim_players", int, "10"),
-    "sim.sessions": ("sim_sessions", int, "25"),
-    "sim.policy": ("sim_policy", str, "greedy"),
-    "sim.seed": ("sim_seed", int, "4242"),
-    # batch runs reopen exhausted clusters so small clusters do not starve
-    # a whole cohort; single sessions still fail fast by default
-    "sim.recycle": ("sim_recycle", _parse_bool, "true"),
-    "stats.min_n": ("stats_min_n", int, "30"),
-    "stats.ci_level": ("stats_ci_level", float, "0.99"),
-    "stats.significance": ("stats_significance", float, "0.01"),
-    "knowledge.compounds_path": ("compounds_path", str, ""),
-    "knowledge.table_path": ("table_path", str, ""),
-}
+def _setting(key: str, parse, default: str = ""):
+    """A field's config key, the parser of its text and its default as
+    written in a config file; an empty default is left commented out."""
+    return field(metadata={"key": key, "parse": parse, "default": default})
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Validated, typed settings for every pipeline stage."""
+    """Validated, typed settings for every pipeline stage, each declared
+    once: its field holds its key, parser and default."""
 
-    maze_count: int
-    maze_width: int
-    maze_height: int
-    space_seed: int
-    cluster_branching: int
-    cluster_k: int
-    cluster_threshold_grid: tuple[float, ...]
-    cluster_sample_cap: int
-    cluster_seed: int
-    positive_weights: tuple[float, ...]
-    negative_weights: tuple[float, ...]
-    easy_medium: float
-    medium_hard: float
-    sim_players: int
-    sim_sessions: int
-    sim_policy: str
-    sim_seed: int
-    sim_recycle: bool
-    stats_min_n: int
-    stats_ci_level: float
-    stats_significance: float
-    compounds_path: str
-    table_path: str
+    maze_count: int = _setting("maze.count", int, "972")
+    maze_width: int = _setting("maze.width", int, "21")
+    maze_height: int = _setting("maze.height", int, "21")
+    space_seed: int = _setting("space.seed", int, "9001")
+    cluster_branching: int = _setting("cluster.branching", int, "2")
+    cluster_k: int = _setting("cluster.k", int, "100")
+    cluster_threshold_grid: tuple[float, ...] = _setting(
+        "cluster.threshold_grid", _parse_grid, "0.005, 0.01, 0.02, 0.04, 0.08"
+    )
+    cluster_sample_cap: int = _setting("cluster.sample_cap", int, "2000")
+    cluster_seed: int = _setting("cluster.seed", int, "0")
+    positive_weights: tuple[float, ...] = _setting("score.positive_weights", _parse_floats, "1, 1")
+    negative_weights: tuple[float, ...] = _setting("score.negative_weights", _parse_floats, "1, 1")
+    # Session scores that separate the three mastery bands. Calibrated
+    # against the bundled bot policies on the practice game (200 seeds
+    # each): random play stays almost entirely below 3, greedy play splits
+    # roughly evenly across the three bands.
+    easy_medium: float = _setting("score.easy_medium", _parse_float, "3.0")
+    medium_hard: float = _setting("score.medium_hard", _parse_float, "9.0")
+    sim_players: int = _setting("sim.players", int, "10")
+    sim_sessions: int = _setting("sim.sessions", int, "25")
+    sim_policy: str = _setting("sim.policy", str, "greedy")
+    sim_seed: int = _setting("sim.seed", int, "4242")
+    # batch runs reopen exhausted clusters so small clusters do not starve
+    # a whole cohort
+    sim_recycle: bool = _setting("sim.recycle", _parse_bool, "true")
+    stats_min_n: int = _setting("stats.min_n", int, "30")
+    stats_ci_level: float = _setting("stats.ci_level", _parse_float, "0.99")
+    stats_significance: float = _setting("stats.significance", _parse_float, "0.01")
+    compounds_path: str = _setting("knowledge.compounds_path", str)
+    table_path: str = _setting("knowledge.table_path", str)
 
     def config_hash(self) -> str:
         """Digest of the canonical serialization of the effective config."""
@@ -118,10 +107,10 @@ def _canonical_value(value) -> str:
 
 def serialize_config(config: PipelineConfig) -> str:
     """Canonical text form: sorted `key = value` lines."""
-    by_attr = {attr: key for key, (attr, _, _) in _KEYS.items()}
-    lines = []
-    for f in fields(config):
-        lines.append(f"{by_attr[f.name]} = {_canonical_value(getattr(config, f.name))}")
+    lines = [
+        f"{f.metadata['key']} = {_canonical_value(getattr(config, f.name))}"
+        for f in fields(config)
+    ]
     return "\n".join(sorted(lines)) + "\n"
 
 
@@ -147,7 +136,7 @@ def _validate(config: PipelineConfig) -> None:
             raise ConfigInvalid(message)
 
 
-def _parse_lines(text: str, source: str) -> dict[str, str]:
+def _parse_lines(text: str, source: str, keys) -> dict[str, str]:
     values: dict[str, str] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
@@ -157,7 +146,7 @@ def _parse_lines(text: str, source: str) -> dict[str, str]:
             raise ConfigInvalid(f"{source}:{lineno}: expected 'key = value', got {raw_line!r}")
         key, _, raw_value = line.partition("=")
         key = key.strip()
-        if key not in _KEYS:
+        if key not in keys:
             raise ConfigInvalid(f"{source}:{lineno}: unknown key {key!r}")
         values[key] = raw_value.strip()
     return values
@@ -172,7 +161,8 @@ def load_config(
     ``overrides`` maps config keys to raw string values (used for CLI flags)
     and is applied after the file.
     """
-    raw = {key: default for key, (_, _, default) in _KEYS.items()}
+    settings = fields(PipelineConfig)
+    raw = {f.metadata["key"]: f.metadata["default"] for f in settings}
     if path is not None:
         file_path = Path(path)
         if not file_path.is_file():
@@ -181,16 +171,17 @@ def load_config(
             text = file_path.read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise ConfigInvalid(f"{file_path}: not UTF-8 text ({exc})") from None
-        raw.update(_parse_lines(text, str(file_path)))
+        raw.update(_parse_lines(text, str(file_path), raw))
     for key, value in (overrides or {}).items():
-        if key not in _KEYS:
+        if key not in raw:
             raise ConfigInvalid(f"unknown override key {key!r}")
         raw[key] = value
 
     kwargs = {}
-    for key, (attr, parser, _) in _KEYS.items():
+    for f in settings:
+        key = f.metadata["key"]
         try:
-            kwargs[attr] = parser(raw[key])
+            kwargs[f.name] = f.metadata["parse"](raw[key])
         except (ValueError, TypeError) as exc:
             raise ConfigInvalid(f"bad value for {key}: {raw[key]!r} ({exc})") from exc
     config = PipelineConfig(**kwargs)
@@ -201,6 +192,7 @@ def load_config(
 def default_config_text() -> str:
     """A fully commented config file with every key at its default."""
     lines = ["# segforge pipeline configuration", "#"]
-    for key, (_, _, default) in sorted(_KEYS.items()):
+    settings = sorted((f.metadata["key"], f.metadata["default"]) for f in fields(PipelineConfig))
+    for key, default in settings:
         lines.append(f"{key} = {default}" if default else f"# {key} =")
     return "\n".join(lines) + "\n"

@@ -85,7 +85,7 @@ class GameParams:
 # ===== Maze generation =====
 
 
-def generate_maze(seed: int, width: int = 21, height: int = 21, maze_id: str | None = None) -> MazeGrid:
+def generate_maze(seed: int, width: int, height: int, maze_id: str) -> MazeGrid:
     """Carve a perfect maze with a seeded randomized depth-first search.
 
     The maze lives on an odd lattice: room cells sit at odd coordinates and
@@ -113,16 +113,10 @@ def generate_maze(seed: int, width: int = 21, height: int = 21, maze_id: str | N
         else:
             stack.pop()
     cells = tuple(tuple(row) for row in grid)
-    return MazeGrid(
-        maze_id=maze_id if maze_id is not None else f"m{seed}",
-        seed=seed,
-        width=width,
-        height=height,
-        cells=cells,
-    )
+    return MazeGrid(maze_id=maze_id, seed=seed, width=width, height=height, cells=cells)
 
 
-def generate_mazes(count: int, width: int = 21, height: int = 21, base_seed: int = 0) -> list[MazeGrid]:
+def generate_mazes(count: int, width: int, height: int, base_seed: int) -> list[MazeGrid]:
     """Generate ``count`` mazes with per-maze seeds ``base_seed + index``."""
     return [
         generate_maze(base_seed + i, width, height, maze_id=f"m{i:04d}")

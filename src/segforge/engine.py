@@ -19,13 +19,6 @@ from .mapping import ContentLibrary, GameRecord
 POSITIVE_ACTION_NAMES = ("correct_collections", "accurate_shots")
 NEGATIVE_ACTION_NAMES = ("life_losses", "wrong_collections")
 
-# Session scores that separate the three mastery bands. Calibrated against
-# the bundled bot policies on the practice game (200 seeds each): random
-# play stays almost entirely below 3, greedy play splits roughly evenly
-# across the three bands.
-DEFAULT_EASY_MEDIUM = 3.0
-DEFAULT_MEDIUM_HARD = 9.0
-
 TIME_LIMIT = 90  # seconds; one simulation tick per second
 STARTING_LIVES = 3
 COLLECTION_TARGET = 10
@@ -35,6 +28,8 @@ AVATAR_SPEED = 4  # cells per tick; enemies move one
 SHOT_RANGE = 6
 
 PRACTICE_MAZE_SEED = 1729
+PRACTICE_MAZE_WIDTH = 21
+PRACTICE_MAZE_HEIGHT = 21
 PRACTICE_GAME = GameParams(
     game_id="practice-game",
     maze_id="practice",
@@ -135,14 +130,10 @@ class PlayerProfile:
 
 def score(
     tally: ActionTally,
-    positive_weights: tuple[float, ...] | None = None,
-    negative_weights: tuple[float, ...] | None = None,
+    positive_weights: tuple[float, ...],
+    negative_weights: tuple[float, ...],
 ) -> float:
     """Weighted positive actions minus weighted negative actions."""
-    if positive_weights is None:
-        positive_weights = (1.0,) * len(tally.positives)
-    if negative_weights is None:
-        negative_weights = (1.0,) * len(tally.negatives)
     if len(positive_weights) != len(tally.positives):
         raise WeightLengthMismatch(
             f"{len(tally.positives)} positive counts, {len(positive_weights)} weights"
@@ -156,11 +147,7 @@ def score(
     return gain - loss
 
 
-def assess_level(
-    session_score: float,
-    easy_medium: float = DEFAULT_EASY_MEDIUM,
-    medium_hard: float = DEFAULT_MEDIUM_HARD,
-) -> Difficulty:
+def assess_level(session_score: float, easy_medium: float, medium_hard: float) -> Difficulty:
     """Band a session score into a mastery level (half-open intervals)."""
     if easy_medium >= medium_hard:
         raise ValueError("easy_medium threshold must lie below medium_hard")
@@ -322,7 +309,9 @@ def maze_tree(grid: MazeGrid) -> MazeTree:
 
 def practice_tree() -> MazeTree:
     """The routing tables of the fixed practice maze."""
-    return maze_tree(generate_maze(PRACTICE_MAZE_SEED, maze_id="practice"))
+    return maze_tree(
+        generate_maze(PRACTICE_MAZE_SEED, PRACTICE_MAZE_WIDTH, PRACTICE_MAZE_HEIGHT, "practice")
+    )
 
 
 def _shared_prefix(a: tuple, b: tuple) -> int:
@@ -650,10 +639,10 @@ def practice_session(
     policy: str,
     seed: int,
     *,
-    easy_medium: float = DEFAULT_EASY_MEDIUM,
-    medium_hard: float = DEFAULT_MEDIUM_HARD,
-    positive_weights: tuple[float, ...] | None = None,
-    negative_weights: tuple[float, ...] | None = None,
+    easy_medium: float,
+    medium_hard: float,
+    positive_weights: tuple[float, ...],
+    negative_weights: tuple[float, ...],
 ) -> SessionRecord:
     """Estimate mastery by playing the stand-alone practice game.
 
@@ -686,9 +675,9 @@ def run_session(
     policy: str,
     seed: int,
     *,
-    recycle: bool = False,
-    positive_weights: tuple[float, ...] | None = None,
-    negative_weights: tuple[float, ...] | None = None,
+    recycle: bool,
+    positive_weights: tuple[float, ...],
+    negative_weights: tuple[float, ...],
 ) -> SessionRecord:
     """Serve, simulate and record one curriculum session on the routing
     tables in ``mazes``, keyed by maze id.

@@ -19,9 +19,6 @@ from .errors import SegforgeError
 ALTERNATIVES = ("two-sided", "greater", "less")
 
 DEFAULT_NULL_PROPORTION = 0.5
-DEFAULT_CI_LEVEL = 0.99
-DEFAULT_SIGNIFICANCE = 0.01
-DEFAULT_MIN_TRIALS = 30
 
 # p-values below this render as "0.00000" in reports
 _P_DISPLAY_FLOOR = 1e-5
@@ -58,9 +55,9 @@ def proportion_ztest(
     pi0: float = DEFAULT_NULL_PROPORTION,
     alternative: str = "two-sided",
     *,
-    ci_level: float = DEFAULT_CI_LEVEL,
-    significance: float = DEFAULT_SIGNIFICANCE,
-    min_n: int = DEFAULT_MIN_TRIALS,
+    ci_level: float,
+    significance: float,
+    min_n: int,
 ) -> ZTestResult:
     """Test whether a success proportion differs from ``pi0``.
 
@@ -170,9 +167,9 @@ class SurveyAnalysis:
 def analyze_sessions(
     records: list[dict],
     *,
-    ci_level: float = DEFAULT_CI_LEVEL,
-    significance: float = DEFAULT_SIGNIFICANCE,
-    min_n: int = DEFAULT_MIN_TRIALS,
+    ci_level: float,
+    significance: float,
+    min_n: int,
 ) -> SurveyAnalysis:
     """Run both proportion tests and the crosstab over session summaries.
 

@@ -9,7 +9,6 @@ assigns a one-based ``compound_id`` used as the curriculum position.
 from __future__ import annotations
 
 import csv
-import json
 import re
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -72,12 +71,17 @@ class CompoundAnnotation:
     total_character_symbol_2: int
     compound_id: int | None = None
 
-    def to_record(self) -> dict[str, int | str]:
-        """Field dict in declaration order, suitable for JSON export."""
-        return dict(vars(self))
 
-    def to_json_line(self) -> str:
-        return json.dumps(self.to_record(), sort_keys=False)
+def _read_text(path: str) -> str:
+    """The UTF-8 text of the file at ``path``; a file that cannot be read
+    raises SegforgeError naming it."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise SegforgeError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise SegforgeError(f"{path}: not UTF-8 text ({exc})") from None
 
 
 def load_periodic_table(path: str | None = None) -> dict[str, int]:
@@ -89,8 +93,7 @@ def load_periodic_table(path: str | None = None) -> dict[str, int]:
     if path is None:
         text = resources.files("segforge.data").joinpath("periodic_table.csv").read_text()
     else:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+        text = _read_text(path)
     table: dict[str, int] = {}
     for row in csv.reader(text.splitlines()):
         if not row or not "".join(row).strip():
@@ -149,8 +152,7 @@ def load_compounds(path: str | None = None) -> list[CompoundSpec]:
     if path is None:
         text = resources.files("segforge.data").joinpath("compounds.txt").read_text()
     else:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+        text = _read_text(path)
     specs = []
     for line in text.splitlines():
         stripped = line.strip()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import sqlite3
 import tempfile
@@ -203,17 +204,33 @@ def validate_library(library: ContentLibrary) -> None:
 
 # ===== Relational persistence =====
 
+
+def _finite(value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{value!r} is not a finite number")
+    return number
+
+
 # field type -> (SQL column type, Python type of its stored value, parser of
 # that value or None); a stored value of another type is refused, so a bool
-# is no int, and neither is text or a null
+# is no int, and neither is text or a null. A tuple is stored as its JSON list.
 _FIELD_TYPES = {
     "str": ("TEXT", str, None),
     "int": ("INTEGER", int, None),
     "int | None": ("INTEGER", int, None),  # a stored compound has its id
-    "float": ("REAL", float, None),
+    "float": ("REAL", float, _finite),
     "Difficulty": ("TEXT", str, Difficulty),
-    "tuple[float, ...]": ("TEXT", str, lambda text: tuple(json.loads(text))),  # its JSON list
+    "tuple[float, ...]": ("TEXT", str, lambda text: tuple(map(_finite, json.loads(text)))),
 }
+
+
+def text_parser(type_name: str):
+    """The parser of a value of field type ``type_name`` written as CSV
+    text: the type's parser, else its stored type."""
+    _, kind, parse = _FIELD_TYPES[type_name]
+    return parse or kind
+
 
 # A cluster's members are rows of the membership table, not a column.
 _CLUSTER_COLUMNS = tuple(f for f in fields(ClusterSummary) if f.name != "member_game_ids")
@@ -408,7 +425,7 @@ def load_library(path: str, expected_config_hash: str | None = None) -> ContentL
 def export_json(library: ContentLibrary) -> str:
     """Lossless canonical JSON rendering of the whole library."""
     payload = {
-        "compounds": [c.to_record() for c in library.compounds],
+        "compounds": [vars(c) for c in library.compounds],
         "games": [vars(g) for g in library.games],
         "clusters": [vars(c) for c in library.clusters],
         "mapping": [vars(m) for m in library.mapping],

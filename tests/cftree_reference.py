@@ -15,7 +15,10 @@ import math
 
 import numpy as np
 
-from segforge.clustering import DEFAULT_BRANCHING, Cluster, DimensionMismatch, TooFewClusters
+from segforge.clustering import Cluster, DimensionMismatch, TooFewClusters
+from segforge.config import load_config
+
+DEFAULT_BRANCHING = load_config().cluster_branching
 
 
 class ClusteringFeature:

@@ -23,6 +23,7 @@ import pytest
 
 from segforge.cli import main
 from segforge.clustering import CFTree, search_threshold, silhouette
+from segforge.config import load_config
 from segforge.contentspace import (
     Difficulty,
     GameParams,
@@ -44,6 +45,12 @@ from segforge.mapping import load_library
 import cftree_reference as reference
 
 LEVELS = ("easy", "medium", "hard")
+CONFIG = load_config()
+STATS = dict(
+    ci_level=CONFIG.stats_ci_level,
+    significance=CONFIG.stats_significance,
+    min_n=CONFIG.stats_min_n,
+)
 STAGES = ("annotate", "gen-space", "categorize", "cluster", "map", "simulate", "analyze")
 
 
@@ -247,7 +254,13 @@ def test_criterion_4_tree_clustering_desk_scale() -> None:
 
     started = perf_counter()
     result = search_threshold(
-        points, tags, grid=(0.25, 0.5, 1.0, 2.0), k=4, branching=3, sample_cap=None
+        points,
+        tags,
+        grid=(0.25, 0.5, 1.0, 2.0),
+        k=4,
+        branching=3,
+        sample_cap=len(points),
+        seed=CONFIG.cluster_seed,
     )
     elapsed = perf_counter() - started
     index_of = {tag: i for i, tag in enumerate(tags)}
@@ -311,8 +324,10 @@ def test_criterion_5_silhouette_oracle(full_runs) -> None:
     cases.append((lattice, lattice_labels))
     for points, labels in cases:
         expected = _brute_silhouette(points, labels)
-        assert silhouette(points, labels, sample_cap=None) == pytest.approx(expected, abs=1e-9)
-        assert silhouette(points, labels) == pytest.approx(expected, abs=1e-9)
+        for cap in (len(points), CONFIG.cluster_sample_cap):
+            assert silhouette(
+                points, labels, sample_cap=cap, seed=CONFIG.cluster_seed
+            ) == pytest.approx(expected, abs=1e-9)
 
     # The full-scale run must score every feasible grid threshold inside
     # [-1, 1] and keep the best scorer (smallest threshold on ties).
@@ -406,6 +421,8 @@ def test_criterion_7_serving_contracts(serving_library) -> None:
             record = run_session(
                 profile, library, mazes, "greedy", seed=90_000 + total_sessions,
                 recycle=True,
+                positive_weights=CONFIG.positive_weights,
+                negative_weights=CONFIG.negative_weights,
             )
             total_sessions += 1
             assert record.game_id == expected_game
@@ -423,11 +440,11 @@ def test_criterion_7_serving_contracts(serving_library) -> None:
 
 
 def test_criterion_8_statistics_fidelity() -> None:
-    two_sided = proportion_ztest(352, 540)
+    two_sided = proportion_ztest(352, 540, **STATS)
     assert abs(two_sided.z - 7.06) <= 0.01
     assert render_p_value(two_sided.p_value) == "0.00000"
-    greater = proportion_ztest(352, 540, alternative="greater")
-    less = proportion_ztest(352, 540, alternative="less")
+    greater = proportion_ztest(352, 540, alternative="greater", **STATS)
+    less = proportion_ztest(352, 540, alternative="less", **STATS)
     assert two_sided.h0_rejected
     assert greater.h0_rejected
     assert not less.h0_rejected

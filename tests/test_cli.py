@@ -354,20 +354,21 @@ def test_stale_maze_features_fail_cleanly(workdir, tmp_path, capsys, stale):
     assert not (broken / "sessions.jsonl").exists()
 
 
-def test_space_with_bad_feature_text_fails_in_categorize(workdir, tmp_path, capsys):
+@pytest.mark.parametrize("text", ["", "nan", "-inf"], ids=["blank", "nan", "inf"])
+def test_space_with_bad_feature_text_fails_in_categorize(workdir, tmp_path, capsys, text):
     config, out = workdir
-    broken = tmp_path / "blank"
+    broken = tmp_path / "bad"
     broken.mkdir()
     lines = (out / "space.csv").read_text().splitlines()
     column = lines[1].split(",").index("complexity")
     row = lines[4].split(",")
-    row[column] = ""
+    row[column] = text
     lines[4] = ",".join(row)
     (broken / "space.csv").write_text("\n".join(lines) + "\n")
     assert main(["categorize", "--config", str(config), "--out", str(broken)]) == 1
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1
-    assert "space.csv line 5" in err
+    assert "space.csv line 5" in err and repr(text) in err
     assert not (broken / "games.csv").exists()
 
 
@@ -388,15 +389,23 @@ def test_games_table_missing_a_column_fails_cleanly(workdir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "stage, name",
+    "stage, name, column, text",
     [
-        pytest.param("cluster", "games.csv", id="cluster"),
-        pytest.param("map", "games.csv", id="map"),
-        pytest.param("map", "clusters.csv", id="map-clusters.csv"),
-        pytest.param("simulate", "library.sqlite", id="simulate-library.sqlite"),
+        pytest.param("cluster", "games.csv", "difficulty", "eazy", id="cluster"),
+        pytest.param("map", "games.csv", "difficulty", "eazy", id="map"),
+        pytest.param("map", "clusters.csv", "difficulty", "eazy", id="map-clusters.csv"),
+        pytest.param(
+            "simulate", "library.sqlite", "difficulty", "eazy", id="simulate-library.sqlite"
+        ),
+        # a float field's parser, from the same table of field types, refuses
+        # what is not a finite number
+        pytest.param("cluster", "games.csv", "complexity", "nan", id="cluster-nan-complexity"),
+        pytest.param("map", "clusters.csv", "c3", "inf", id="map-clusters.csv-inf-centroid"),
     ],
 )
-def test_game_with_unknown_difficulty_fails_cleanly(workdir, tmp_path, capsys, stage, name):
+def test_game_with_unknown_difficulty_fails_cleanly(
+    workdir, tmp_path, capsys, stage, name, column, text
+):
     config, out = workdir
     broken = tmp_path / "eazy"
     shutil.copytree(out, broken)
@@ -411,16 +420,16 @@ def test_game_with_unknown_difficulty_fails_cleanly(workdir, tmp_path, capsys, s
         where = "library.sqlite"
     else:
         lines = (out / name).read_text().splitlines()
-        column = lines[1].split(",").index("difficulty")
+        level = lines[1].split(",").index("difficulty")
         rows = [line.split(",") for line in lines]
-        number = next(i for i, row in enumerate(rows[2:], 2) if row[column] == "easy")
-        rows[number][column] = "eazy"
+        number = next(i for i, row in enumerate(rows[2:], 2) if row[level] == "easy")
+        rows[number][rows[1].index(column)] = text
         (broken / name).write_text("\n".join(",".join(row) for row in rows) + "\n")
         where = f"{name} line {number + 1}"
     assert main([stage, "--config", str(config), "--out", str(broken)]) == 1
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1
-    assert where in err and "'eazy'" in err
+    assert where in err and repr(text) in err
 
 
 def test_artifact_readers_give_each_level_as_a_difficulty(workdir):
@@ -920,6 +929,24 @@ def test_config_that_is_not_utf8_fails_cleanly(tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1
     assert str(config) in err and "UTF-8" in err
+
+
+@pytest.mark.parametrize("key", ["knowledge.compounds_path", "knowledge.table_path"])
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
+def test_unreadable_knowledge_file_fails_cleanly(tmp_path, capsys, key, case):
+    target = tmp_path / "knowledge"
+    if case == "directory":
+        target.mkdir()
+    elif case == "not-utf8":
+        target.write_bytes(b"H2|hydrogen|2 H|\n\xff\n")
+    config = tmp_path / "run.conf"
+    config.write_text(f"{key} = {target}\n")
+    out = tmp_path / "o"
+    assert main(["annotate", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert str(target) in err
+    assert not (out / "annotations.jsonl").exists()
 
 
 def test_bad_config_fails_cleanly(tmp_path, capsys):

@@ -28,8 +28,15 @@ from segforge.clustering import (
     silhouette,
     summarize,
 )
+from segforge.config import load_config
 
 import cftree_reference as reference
+
+CONFIG = load_config()
+# the pipeline's settings, for the tests that do not vary them
+BRANCHING = CONFIG.cluster_branching
+SAMPLING = dict(sample_cap=CONFIG.cluster_sample_cap, seed=CONFIG.cluster_seed)
+SEARCH = dict(branching=BRANCHING, **SAMPLING)
 
 # ===== Reference implementations (kept deliberately naive) =====
 
@@ -91,9 +98,9 @@ def reference_search_threshold(
     *,
     grid: tuple[float, ...],
     k: int,
-    branching: int = 2,
-    sample_cap: int | None = 2000,
-    seed: int = 0,
+    branching: int,
+    sample_cap: int,
+    seed: int,
 ) -> ThresholdSearchResult:
     """Threshold search that builds, refines and scores every candidate."""
     best = None
@@ -185,7 +192,7 @@ def test_cf_radius_clamps_negative_variance_to_zero() -> None:
     cf = reference.ClusteringFeature(1, [1.0], [1.0 - 1e-12])
     assert cf.radius_with_point((1.0,)) == 0.0
     # The production tree clamps too: the point joins at threshold 0.0.
-    tree = CFTree(threshold=0.0)
+    tree = CFTree(threshold=0.0, branching=BRANCHING)
     tree.insert((1.0,), "a")
     tree.root.entries[0].cf.ss[0] = 1.0 - 1e-12
     tree.insert((1.0,), "b")
@@ -207,14 +214,14 @@ def test_cf_merged_radius_matches_actual_merge() -> None:
 
 
 def test_distant_pair_under_tight_threshold_makes_two_entries() -> None:
-    tree = build_tree([(0.0,), (1.0,)], ["a", "b"], threshold=0.1)
+    tree = build_tree([(0.0,), (1.0,)], ["a", "b"], threshold=0.1, branching=BRANCHING)
     entries = tree.leaf_entries()
     assert len(entries) == 2
 
 
 def test_pair_within_threshold_is_absorbed() -> None:
     # Merged radius of {0, 1} is exactly 0.5.
-    tree = build_tree([(0.0,), (1.0,)], ["a", "b"], threshold=0.5)
+    tree = build_tree([(0.0,), (1.0,)], ["a", "b"], threshold=0.5, branching=BRANCHING)
     entries = tree.leaf_entries()
     assert len(entries) == 1
     assert entries[0].cf.n == 2
@@ -222,7 +229,9 @@ def test_pair_within_threshold_is_absorbed() -> None:
 
 def test_duplicate_point_always_absorbs() -> None:
     for threshold in (0.005, 0.5):
-        tree = build_tree([(3.0, 4.0), (3.0, 4.0)], ["a", "b"], threshold=threshold)
+        tree = build_tree(
+            [(3.0, 4.0), (3.0, 4.0)], ["a", "b"], threshold=threshold, branching=BRANCHING
+        )
         entries = tree.leaf_entries()
         assert len(entries) == 1
         assert entries[0].cf.n == 2
@@ -232,20 +241,22 @@ def test_nearest_entry_tie_goes_to_the_first_entry() -> None:
     # 0 is as near to the entry of -2 as to that of 2, and either merged
     # radius is exactly 1.
     points, tags = [(-2.0,), (2.0,), (0.0,)], ["a", "b", "c"]
-    tree = build_tree(points, tags, threshold=1.0)
+    tree = build_tree(points, tags, threshold=1.0, branching=BRANCHING)
     assert [e.members for e in tree.leaf_entries()] == [["a", "c"], ["b"]]
     assert _leaf_sequence(tree) == _leaf_sequence(reference.build_tree(points, tags, threshold=1.0))
 
 
 def test_min_refused_is_the_smallest_refused_radius() -> None:
     # {0, 1} has merged radius 0.5, {2, 2.5} 0.25; 2 is nearest to 1.
-    tree = build_tree([(0.0,), (1.0,), (2.0,), (2.5,)], ["a", "b", "c", "d"], threshold=0.1)
+    tree = build_tree(
+        [(0.0,), (1.0,), (2.0,), (2.5,)], ["a", "b", "c", "d"], threshold=0.1, branching=BRANCHING
+    )
     assert len(tree.leaf_entries()) == 4
     assert tree.min_refused == pytest.approx(0.25)
 
 
 def test_min_refused_is_infinite_when_every_point_is_absorbed() -> None:
-    tree = build_tree([(1.0, 2.0)] * 5, list("abcde"), threshold=0.0)
+    tree = build_tree([(1.0, 2.0)] * 5, list("abcde"), threshold=0.0, branching=BRANCHING)
     assert len(tree.leaf_entries()) == 1
     assert tree.min_refused == math.inf
 
@@ -352,7 +363,7 @@ def test_build_tree_drops_only_integer_constant_columns(monkeypatch) -> None:
     # columns: varying, 0.0, 1.0, 0.1, varying, -0.0 and 0.0 mixed
     points = [(rng.random(), 0.0, 1.0, 0.1, rng.random(), (0.0, -0.0)[i % 2]) for i in range(30)]
     tags = [f"p{i:02d}" for i in range(30)]
-    tree = build_tree(points, tags, threshold=0.2)
+    tree = build_tree(points, tags, threshold=0.2, branching=BRANCHING)
     assert widths == {4}
     assert tree.dim == 6
     assert all(len(e.cf.ls) == len(e.cf.ss) == 6 for e in tree.leaf_entries())
@@ -360,7 +371,7 @@ def test_build_tree_drops_only_integer_constant_columns(monkeypatch) -> None:
 
 
 def test_insert_rejects_dimension_mismatch() -> None:
-    tree = CFTree(threshold=0.1)
+    tree = CFTree(threshold=0.1, branching=BRANCHING)
     tree.insert((0.0, 0.0), "a")
     with pytest.raises(DimensionMismatch):
         tree.insert((0.0,), "b")
@@ -369,7 +380,7 @@ def test_insert_rejects_dimension_mismatch() -> None:
 def test_tree_splits_keep_occupancy_within_branching() -> None:
     points = [(float(i), 0.0) for i in range(64)]
     tags = [f"p{i:02d}" for i in range(64)]
-    tree = build_tree(points, tags, threshold=0.01)
+    tree = build_tree(points, tags, threshold=0.01, branching=BRANCHING)
     _check_tree(tree, dict(zip(tags, points)))
 
 
@@ -377,10 +388,15 @@ def test_build_tree_is_insertion_order_stable() -> None:
     rng = random.Random(5)
     points = [(rng.random(), rng.random()) for _ in range(40)]
     tags = [f"p{i:02d}" for i in range(40)]
-    tree_a = build_tree(points, tags, threshold=0.05)
+    tree_a = build_tree(points, tags, threshold=0.05, branching=BRANCHING)
     order = list(range(40))
     rng.shuffle(order)
-    tree_b = build_tree([points[i] for i in order], [tags[i] for i in order], threshold=0.05)
+    tree_b = build_tree(
+        [points[i] for i in order],
+        [tags[i] for i in order],
+        threshold=0.05,
+        branching=BRANCHING,
+    )
     members_a = sorted(tuple(sorted(e.members)) for e in tree_a.leaf_entries())
     members_b = sorted(tuple(sorted(e.members)) for e in tree_b.leaf_entries())
     assert members_a == members_b
@@ -559,7 +575,7 @@ def test_refine_matches_the_reference_refine(
         clusters = [_singleton(i, p) for i, p in enumerate(points)]
         oracle_input = [_reference_singleton(i, p) for i, p in enumerate(points)]
     else:
-        clusters = leaf_clusters(build_tree(points, tags, threshold=threshold))
+        clusters = leaf_clusters(build_tree(points, tags, threshold=threshold, branching=BRANCHING))
         oracle_input = [
             Cluster(c.cluster_id, reference.ClusteringFeature(c.cf.n, list(c.cf.ls), list(c.cf.ss)), c.members)
             for c in clusters
@@ -591,20 +607,20 @@ def test_refine_matches_the_reference_on_600_duplicate_singletons(
 def test_silhouette_two_tight_pairs_scores_high() -> None:
     points = [(0.0,), (0.1,), (10.0,), (10.1,)]
     labels = [0, 0, 1, 1]
-    score = silhouette(points, labels)
+    score = silhouette(points, labels, **SAMPLING)
     assert score == pytest.approx(0.99005, abs=1e-4)
     assert score == pytest.approx(brute_silhouette(points, labels), abs=1e-9)
 
 
 def test_silhouette_requires_two_clusters() -> None:
     with pytest.raises(SingleCluster):
-        silhouette([(0.0,), (1.0,)], [0, 0])
+        silhouette([(0.0,), (1.0,)], [0, 0], **SAMPLING)
 
 
 def test_silhouette_singleton_cluster_uses_zero_intra() -> None:
     points = [(0.0,), (5.0,), (5.1,)]
     labels = [0, 1, 1]
-    assert silhouette(points, labels) == pytest.approx(
+    assert silhouette(points, labels, **SAMPLING) == pytest.approx(
         brute_silhouette(points, labels), abs=1e-9
     )
 
@@ -612,7 +628,7 @@ def test_silhouette_singleton_cluster_uses_zero_intra() -> None:
 def test_silhouette_identical_points_score_zero() -> None:
     points = [(1.0, 1.0)] * 4
     labels = [0, 0, 1, 1]
-    assert silhouette(points, labels) == 0.0
+    assert silhouette(points, labels, **SAMPLING) == 0.0
 
 
 def test_silhouette_matches_brute_force_on_random_data() -> None:
@@ -625,7 +641,7 @@ def test_silhouette_matches_brute_force_on_random_data() -> None:
         labels = [rng.randrange(4) for _ in range(60)]
         if len(set(labels)) < 2:
             continue
-        assert silhouette(points, labels) == pytest.approx(
+        assert silhouette(points, labels, **SAMPLING) == pytest.approx(
             brute_silhouette(points, labels), abs=1e-9
         )
 
@@ -634,7 +650,7 @@ def test_silhouette_values_stay_in_bounds() -> None:
     rng = random.Random(9)
     points = [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(40)]
     labels = [rng.randrange(3) for _ in range(40)]
-    score = silhouette(points, labels)
+    score = silhouette(points, labels, **SAMPLING)
     assert -1.0 <= score <= 1.0
 
 
@@ -654,7 +670,7 @@ def test_silhouette_no_sampling_below_cap() -> None:
     points = [(0.0,), (0.2,), (7.0,), (7.2,)]
     labels = [0, 0, 1, 1]
     assert silhouette(points, labels, sample_cap=2000, seed=1) == silhouette(
-        points, labels, sample_cap=None
+        points, labels, sample_cap=len(points), seed=0
     )
 
 
@@ -675,7 +691,7 @@ def _blobs(rng: random.Random, centers: list[tuple[float, float]], per_blob: int
 def test_search_threshold_recovers_separated_blobs() -> None:
     rng = random.Random(8)
     points, truth, tags = _blobs(rng, [(0, 0), (6, 0), (0, 6)], per_blob=8)
-    result = search_threshold(points, tags, grid=(0.005, 0.02, 0.08), k=3, seed=0)
+    result = search_threshold(points, tags, grid=(0.005, 0.02, 0.08), k=3, **SEARCH)
     assert len(result.clusters) == 3
     by_tag = {}
     for cluster in result.clusters:
@@ -694,7 +710,7 @@ def test_search_threshold_recovers_separated_blobs() -> None:
 def test_search_threshold_logs_every_candidate() -> None:
     rng = random.Random(2)
     points, _, tags = _blobs(rng, [(0, 0), (4, 4)], per_blob=6)
-    result = search_threshold(points, tags, grid=(0.01, 0.04), k=2, seed=0)
+    result = search_threshold(points, tags, grid=(0.01, 0.04), k=2, **SEARCH)
     assert [c.threshold for c in result.log] == [0.01, 0.04]
     assert all(c.leaf_count >= 1 for c in result.log)
     feasible = [c for c in result.log if c.silhouette is not None]
@@ -706,7 +722,7 @@ def test_search_threshold_tie_prefers_smaller_threshold() -> None:
     # Two far blobs: every threshold yields the same perfect clustering.
     points = [(0.0,), (0.0,), (100.0,), (100.0,)]
     tags = ["a", "b", "c", "d"]
-    result = search_threshold(points, tags, grid=(0.04, 0.01, 0.02), k=2, seed=0)
+    result = search_threshold(points, tags, grid=(0.04, 0.01, 0.02), k=2, **SEARCH)
     assert result.best_threshold == 0.01
 
 
@@ -714,14 +730,14 @@ def test_search_threshold_raises_when_nothing_feasible() -> None:
     points = [(0.0,), (0.0,), (0.0,)]
     tags = ["a", "b", "c"]
     with pytest.raises(NoFeasibleThreshold):
-        search_threshold(points, tags, grid=(0.01, 0.08), k=2, seed=0)
+        search_threshold(points, tags, grid=(0.01, 0.08), k=2, **SEARCH)
 
 
 def test_search_threshold_singletons_score_without_error() -> None:
     # Tiny threshold keeps every distinct point a singleton: k == point count.
     points = [(0.0,), (1.0,), (2.0,), (3.0,)]
     tags = ["a", "b", "c", "d"]
-    result = search_threshold(points, tags, grid=(0.005,), k=4, seed=0)
+    result = search_threshold(points, tags, grid=(0.005,), k=4, **SEARCH)
     assert len(result.clusters) == 4
     assert result.score == pytest.approx(1.0)
 
@@ -793,11 +809,12 @@ def test_search_threshold_builds_each_distinct_tree_once(monkeypatch) -> None:
     points = [(0.0,), (1.0,), (10.0,), (11.0,), (20.0,)]
     tags = ["a", "b", "c", "d", "e"]
     grid = (0.1, 0.2, 0.4, 0.5, 0.6)
-    result = search_threshold(points, tags, grid=grid, k=2, seed=0)
+    result = search_threshold(points, tags, grid=grid, k=2, **SEARCH)
     assert dict(calls) == {"build_tree": 2, "leaf_clusters": 2, "refine_to_k": 2, "silhouette": 2}
     assert [c.leaf_count for c in result.log] == [5, 5, 5, 3, 3]
     monkeypatch.undo()
-    _assert_same_search(result, reference_search_threshold(points, tags, grid=grid, k=2))
+    want = reference_search_threshold(points, tags, grid=grid, k=2, **SEARCH)
+    _assert_same_search(result, want)
 
 
 # ===== Summaries =====

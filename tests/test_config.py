@@ -2,14 +2,45 @@
 
 from __future__ import annotations
 
+import hashlib
+import inspect
+
 import pytest
 
+from segforge import clustering, contentspace, engine, gamestats
+from segforge.cli import main
 from segforge.config import (
     ConfigInvalid,
     default_config_text,
     load_config,
     serialize_config,
 )
+
+# `segforge init-config` and the default config's hash, which every artifact
+# of a default run embeds; both change only with a default
+INIT_CONFIG_SHA256 = "c90df95c16915970fa9c76f45082ec80732c0791cf32a7ace3e7095ec33b08d2"
+DEFAULT_CONFIG_HASH = "05992b419945f1795cadd4ca540f8cff6f7893de2ec83d8628cdff99e1653b39"
+
+# parameters whose value is a config setting, so that no library default
+# can differ from the one the pipeline runs
+SETTING_PARAMETERS = {
+    "grid",
+    "k",
+    "branching",
+    "sample_cap",
+    "seed",
+    "width",
+    "height",
+    "base_seed",
+    "easy_medium",
+    "medium_hard",
+    "positive_weights",
+    "negative_weights",
+    "recycle",
+    "ci_level",
+    "significance",
+    "min_n",
+}
 
 
 def test_defaults_load_without_file():
@@ -72,6 +103,10 @@ def test_missing_file_rejected(tmp_path):
         ("stats.ci_level = 1.5", "ci_level"),
         ("cluster.threshold_grid = -0.5", "positive"),
         ("sim.recycle = maybe", "bad value"),
+        ("cluster.threshold_grid = nan, 0.01", "finite"),
+        ("score.positive_weights = nan, inf", "finite"),
+        ("score.easy_medium = -inf", "finite"),
+        ("stats.significance = nan", "finite"),
     ],
 )
 def test_validation_failures(tmp_path, line, fragment):
@@ -122,3 +157,29 @@ def test_default_template_round_trips(tmp_path):
     path.write_text(default_config_text())
     config = load_config(path)
     assert config.config_hash() == load_config().config_hash()
+
+
+def test_init_config_text_and_default_hash_are_pinned(capsys):
+    assert main(["init-config"]) == 0
+    text = capsys.readouterr().out
+    assert text == default_config_text()
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == INIT_CONFIG_SHA256
+    assert load_config().config_hash() == DEFAULT_CONFIG_HASH
+
+
+def test_no_library_function_defaults_a_setting():
+    defaulted = []
+    for module in (clustering, contentspace, engine, gamestats):
+        for name, obj in vars(module).items():
+            if name.startswith("_") or not callable(obj) or obj.__module__ != module.__name__:
+                continue
+            try:
+                parameters = inspect.signature(obj).parameters.values()
+            except ValueError:  # a callable without a signature, such as an enum
+                continue
+            defaulted += [
+                f"{module.__name__}.{name}({p.name}=...)"
+                for p in parameters
+                if p.name in SETTING_PARAMETERS and p.default is not p.empty
+            ]
+    assert defaulted == []

@@ -33,7 +33,16 @@ from segforge.contentspace import (
     maze_from_record,
     maze_to_record,
 )
+from segforge.config import load_config
 from segforge.mapping import GameRecord
+
+CONFIG = load_config()
+SIZE = (CONFIG.maze_width, CONFIG.maze_height)
+
+
+def _maze(seed: int) -> MazeGrid:
+    """The maze ``seed`` carves at the pipeline's size."""
+    return generate_maze(seed, *SIZE, f"m{seed}")
 
 
 def _grid_from_strings(rows: list[str], maze_id: str = "hand") -> MazeGrid:
@@ -158,7 +167,7 @@ def _adjacency_count(grid: MazeGrid) -> int:
 
 
 def test_generated_maze_has_wall_border() -> None:
-    grid = generate_maze(seed=3)
+    grid = _maze(3)
     assert all(cell == WALL for cell in grid.cells[0])
     assert all(cell == WALL for cell in grid.cells[-1])
     assert all(row[0] == WALL and row[-1] == WALL for row in grid.cells)
@@ -168,30 +177,30 @@ def test_generated_maze_is_perfect() -> None:
     # Perfect maze: connected and acyclic, i.e. path-cell adjacencies form a
     # spanning tree of the path cells.
     for seed in range(5):
-        grid = generate_maze(seed=seed)
+        grid = _maze(seed)
         assert _is_connected(grid)
         assert _adjacency_count(grid) == len(_path_cells(grid)) - 1
 
 
 def test_default_maze_has_199_path_cells() -> None:
     # 10x10 rooms on the odd lattice plus 99 carved connections.
-    grid = generate_maze(seed=11)
+    grid = _maze(11)
     assert len(_path_cells(grid)) == 199
 
 
 def test_maze_generation_is_deterministic_per_seed() -> None:
-    assert generate_maze(seed=42).cells == generate_maze(seed=42).cells
-    assert generate_maze(seed=42).cells != generate_maze(seed=43).cells
+    assert _maze(42).cells == _maze(42).cells
+    assert _maze(42).cells != _maze(43).cells
 
 
 @pytest.mark.parametrize("width,height", [(4, 21), (21, 4), (3, 21), (21, 3), (20, 21), (21, 20)])
 def test_maze_rejects_bad_dimensions(width: int, height: int) -> None:
     with pytest.raises(DimensionTooSmall):
-        generate_maze(seed=0, width=width, height=height)
+        generate_maze(0, width, height, "m0")
 
 
 def test_minimum_maze_size_works() -> None:
-    grid = generate_maze(seed=0, width=5, height=5)
+    grid = generate_maze(0, 5, 5, "m0")
     assert _is_connected(grid)
 
 
@@ -199,14 +208,14 @@ def test_minimum_maze_size_works() -> None:
 
 
 def test_enumerate_space_is_full_cartesian_product() -> None:
-    mazes = generate_mazes(2, base_seed=5)
+    mazes = generate_mazes(2, *SIZE, base_seed=5)
     space = enumerate_space(mazes)
     assert len(space) == 2 * len(ENEMY_TYPES) * len(ENEMY_COUNTS) * len(BULLET_COUNTS)
     assert len({p.game_id for p in space}) == len(space)
 
 
 def test_enumerate_space_orders_by_maze_id() -> None:
-    mazes = generate_mazes(3, base_seed=1)
+    mazes = generate_mazes(3, *SIZE, base_seed=1)
     shuffled = [mazes[2], mazes[0], mazes[1]]
     assert enumerate_space(shuffled) == enumerate_space(mazes)
 
@@ -255,7 +264,7 @@ def test_difficulty_rules_partition_the_grid(enemy_type: int, total_enemy: int) 
 
 
 def test_per_maze_difficulty_counts() -> None:
-    space = enumerate_space(generate_mazes(1))
+    space = enumerate_space(generate_mazes(1, *SIZE, CONFIG.space_seed))
     counts = Counter(classify_difficulty(p) for p in space)
     assert counts[Difficulty.EASY] == 15
     assert counts[Difficulty.MEDIUM] == 20
@@ -320,7 +329,7 @@ def test_normalized_values_stay_in_unit_interval(vectors: list[tuple[float, floa
 
 
 def test_rle_round_trip() -> None:
-    grid = generate_maze(seed=9)
+    grid = _maze(9)
     assert decode_cells(encode_cells(grid), grid.width, grid.height) == grid.cells
 
 
@@ -330,7 +339,7 @@ def test_rle_rejects_truncated_payload() -> None:
 
 
 def test_maze_record_round_trip() -> None:
-    grid = generate_maze(seed=4)
+    grid = _maze(4)
     features = extract_features(grid)
     back_grid, back_features = maze_from_record(maze_to_record(grid, features))
     assert back_grid == grid
@@ -339,7 +348,7 @@ def test_maze_record_round_trip() -> None:
 
 def test_generated_features_look_sane() -> None:
     for seed in range(3):
-        grid = generate_maze(seed=seed)
+        grid = _maze(seed)
         features = extract_features(grid)
         classified = (
             features.total_corners + features.total_intersections + features.total_deadend

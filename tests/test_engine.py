@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segforge.clustering import ClusterSummary
+from segforge.config import load_config
 from segforge.contentspace import (
     Difficulty,
     GameParams,
@@ -46,6 +47,12 @@ from segforge.mapping import ContentLibrary, GameRecord, deploy
 
 import bfs_engine
 
+CONFIG = load_config()
+# the pipeline's scoring, mastery bands and recycling, for the tests that do
+# not vary them
+WEIGHTS = dict(positive_weights=CONFIG.positive_weights, negative_weights=CONFIG.negative_weights)
+BANDS = dict(easy_medium=CONFIG.easy_medium, medium_hard=CONFIG.medium_hard)
+SESSION = dict(recycle=CONFIG.sim_recycle, **WEIGHTS)
 
 # ===== Fixtures =====
 
@@ -135,7 +142,8 @@ def world():
 
 
 def test_score_unit_weights():
-    assert score(ActionTally(positives=(5,), negatives=(2,))) == 3
+    # the default config weighs every action 1
+    assert score(ActionTally(positives=(5, 1), negatives=(2, 0)), **WEIGHTS) == 4
 
 
 def test_score_weighted():
@@ -144,15 +152,15 @@ def test_score_weighted():
 
 
 def test_score_no_negatives():
-    assert score(ActionTally(positives=(4, 2), negatives=())) == 6
+    assert score(ActionTally(positives=(4, 2), negatives=()), CONFIG.positive_weights, ()) == 6
 
 
 def test_score_weight_length_mismatch():
     tally = ActionTally(positives=(1, 2), negatives=(1,))
     with pytest.raises(WeightLengthMismatch):
-        score(tally, positive_weights=(1.0,))
+        score(tally, positive_weights=(1.0,), negative_weights=(1.0,))
     with pytest.raises(WeightLengthMismatch):
-        score(tally, negative_weights=(1.0, 1.0))
+        score(tally, positive_weights=(1.0, 1.0), negative_weights=(1.0, 1.0))
 
 
 @given(
@@ -168,7 +176,7 @@ def test_score_is_linear(pos, neg, pos2, neg2):
         positives=tuple(a + b for a, b in zip(pos, pos2)),
         negatives=tuple(a + b for a, b in zip(neg, neg2)),
     )
-    assert score(merged) == score(t1) + score(t2)
+    assert score(merged, **WEIGHTS) == score(t1, **WEIGHTS) + score(t2, **WEIGHTS)
 
 
 # ===== Assessment =====
@@ -350,10 +358,10 @@ def test_bot_wins_and_loses_somewhere(small_tree):
 def test_greedy_beats_random_on_easy_games(small_tree):
     seeds = range(100)
     greedy = statistics.mean(
-        score(bot_simulate(small_tree, EASY_PARAMS, "greedy", s).tally) for s in seeds
+        score(bot_simulate(small_tree, EASY_PARAMS, "greedy", s).tally, **WEIGHTS) for s in seeds
     )
     rand = statistics.mean(
-        score(bot_simulate(small_tree, EASY_PARAMS, "random", s).tally) for s in seeds
+        score(bot_simulate(small_tree, EASY_PARAMS, "random", s).tally, **WEIGHTS) for s in seeds
     )
     assert greedy > rand
 
@@ -400,7 +408,7 @@ def test_inline_draw_matches_random_choice(n):
 def test_bot_matches_the_bfs_simulator(
     maze_seed, width, height, policy, enemy_type, total_enemy, total_bullets, seed
 ):
-    grid = generate_maze(maze_seed, width, height)
+    grid = generate_maze(maze_seed, width, height, f"m{maze_seed}")
     params = GameParams("g", grid.maze_id, enemy_type, total_enemy, total_bullets)
     expected = bfs_engine.bot_simulate(grid, params, policy, seed)
     assert bot_simulate(maze_tree(grid), params, policy, seed) == expected
@@ -435,7 +443,7 @@ def _tables(tree: MazeTree) -> tuple:
     ),
 )
 def test_games_sharing_one_tree_match_fresh_tables(maze_seed, width, height, games):
-    grid = generate_maze(maze_seed, width, height)
+    grid = generate_maze(maze_seed, width, height, f"m{maze_seed}")
     tree = maze_tree(grid)
     before = _tables(tree)
     for policy, enemy_type, total_enemy, total_bullets, seed in games:
@@ -552,7 +560,7 @@ def _climbing_path(tree: MazeTree, source, target) -> list:
     data=st.data(),
 )
 def test_lineage_routes_match_the_climbing_oracle(maze_seed, width, height, kind, data):
-    tree = maze_tree(generate_maze(maze_seed, width, height))
+    tree = maze_tree(generate_maze(maze_seed, width, height, f"m{maze_seed}"))
     arena = _Arena(tree, GameParams("g", tree.maze_id, 0, 0, 0), random.Random(0))
     cells = tree.path_cells
     a = data.draw(st.sampled_from(cells))
@@ -582,10 +590,10 @@ def practice_maze():
 
 def test_practice_sets_mastery_consistently(practice_maze):
     profile = PlayerProfile("p1")
-    record = practice_session(profile, practice_maze, "greedy", seed=3)
+    record = practice_session(profile, practice_maze, "greedy", seed=3, **BANDS, **WEIGHTS)
     assert record.difficulty is None
     assert record.compound_id == 0
-    assert profile.mastery is assess_level(record.score)
+    assert profile.mastery is assess_level(record.score, **BANDS)
 
 
 def test_practice_reassesses_every_run(practice_maze):
@@ -593,15 +601,18 @@ def test_practice_reassesses_every_run(practice_maze):
     weak_seed = next(
         s
         for s in range(50)
-        if practice_session(PlayerProfile("x"), practice_maze, "random", seed=s).score < 3.0
+        if practice_session(
+            PlayerProfile("x"), practice_maze, "random", seed=s, **BANDS, **WEIGHTS
+        ).score
+        < CONFIG.easy_medium
     )
-    practice_session(profile, practice_maze, "random", seed=weak_seed)
+    practice_session(profile, practice_maze, "random", seed=weak_seed, **BANDS, **WEIGHTS)
     assert profile.mastery is Difficulty.EASY
 
 
 def test_practice_is_deterministic(practice_maze):
-    a = practice_session(PlayerProfile("p1"), practice_maze, "greedy", seed=9)
-    b = practice_session(PlayerProfile("p2"), practice_tree(), "greedy", seed=9)
+    a = practice_session(PlayerProfile("p1"), practice_maze, "greedy", 9, **BANDS, **WEIGHTS)
+    b = practice_session(PlayerProfile("p2"), practice_tree(), "greedy", 9, **BANDS, **WEIGHTS)
     assert a.score == b.score
     assert a.events == b.events
 
@@ -612,7 +623,7 @@ def test_practice_is_deterministic(practice_maze):
 def test_session_serves_from_mapped_cluster(world):
     library, mazes = world
     profile = PlayerProfile("p1")
-    record = run_session(profile, library, mazes, "greedy", seed=1)
+    record = run_session(profile, library, mazes, "greedy", seed=1, **SESSION)
     cluster = library.cluster_for(1, "easy")
     assert record.game_id in cluster.member_game_ids
     assert record.game_id in profile.played_game_ids
@@ -622,7 +633,7 @@ def test_session_serves_from_mapped_cluster(world):
 
 def test_session_record_serializes(world):
     library, mazes = world
-    record = run_session(PlayerProfile("p1"), library, mazes, "random", seed=5)
+    record = run_session(PlayerProfile("p1"), library, mazes, "random", seed=5, **SESSION)
     data = record.to_record()
     assert data["player_id"] == "p1"
     assert data["positives"] == list(record.tally.positives)
@@ -636,11 +647,12 @@ def test_no_repeats_until_pool_empty(world):
     served = []
     for seed in range(len(members)):
         profile.next_material_index = 1  # stay on the same material
-        served.append(run_session(profile, library, mazes, "random", seed=seed).game_id)
+        record = run_session(profile, library, mazes, "random", seed, recycle=False, **WEIGHTS)
+        served.append(record.game_id)
     assert sorted(served) == sorted(members)
     profile.next_material_index = 1
     with pytest.raises(EmptyPool):
-        run_session(profile, library, mazes, "random", seed=99)
+        run_session(profile, library, mazes, "random", seed=99, recycle=False, **WEIGHTS)
 
 
 def test_recycle_reopens_exhausted_cluster(world):
@@ -649,7 +661,7 @@ def test_recycle_reopens_exhausted_cluster(world):
     members = set(library.cluster_for(1, "medium").member_game_ids)
     profile.played_game_ids = set(members)
     profile.attempted_materials = {1}
-    record = run_session(profile, library, mazes, "random", seed=0, recycle=True)
+    record = run_session(profile, library, mazes, "random", seed=0, recycle=True, **WEIGHTS)
     assert record.recycled
     assert record.game_id in members
     assert profile.played_game_ids == {record.game_id}
@@ -670,7 +682,7 @@ def test_victory_advances_material(world):
     library, mazes = world
     profile = PlayerProfile("p1")
     seed = _find_seed(world, victory=True)
-    record = run_session(profile, library, mazes, "greedy", seed=seed)
+    record = run_session(profile, library, mazes, "greedy", seed=seed, **SESSION)
     assert record.outcome == "victory"
     assert profile.next_material_index == 2
     assert record.pre_exam == 0 and record.post_exam == 1
@@ -680,25 +692,26 @@ def test_defeat_repeats_material(world):
     library, mazes = world
     profile = PlayerProfile("p1")
     seed = _find_seed(world, victory=False)
-    record = run_session(profile, library, mazes, "greedy", seed=seed)
+    record = run_session(profile, library, mazes, "greedy", seed=seed, **SESSION)
     assert record.outcome == "defeat"
     assert profile.next_material_index == 1
     assert record.pre_exam == 0 and record.post_exam == 0
     # the retry is no longer a first encounter
-    retry = run_session(profile, library, mazes, "greedy", seed=seed + 1000)
+    retry = run_session(profile, library, mazes, "greedy", seed=seed + 1000, **SESSION)
     assert retry.compound_id == 1
     assert retry.pre_exam == 1
 
 
 def test_session_score_uses_supplied_weights(world):
     library, mazes = world
-    base = run_session(PlayerProfile("p1"), library, mazes, "greedy", seed=4)
+    base = run_session(PlayerProfile("p1"), library, mazes, "greedy", seed=4, **SESSION)
     doubled = run_session(
         PlayerProfile("p2"),
         library,
         mazes,
         "greedy",
         seed=4,
+        recycle=CONFIG.sim_recycle,
         positive_weights=(2.0, 2.0),
         negative_weights=(0.0, 0.0),
     )
@@ -710,4 +723,4 @@ def test_curriculum_complete_propagates(world):
     library, mazes = world
     profile = PlayerProfile("p1", next_material_index=library.compound_count + 1)
     with pytest.raises(CurriculumComplete):
-        run_session(profile, library, mazes, "greedy", seed=0)
+        run_session(profile, library, mazes, "greedy", seed=0, **SESSION)

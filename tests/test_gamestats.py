@@ -18,6 +18,14 @@ from segforge.gamestats import (
     render_p_value,
     report_rows,
 )
+from segforge.config import load_config
+
+CONFIG = load_config()
+STATS = dict(
+    ci_level=CONFIG.stats_ci_level,
+    significance=CONFIG.stats_significance,
+    min_n=CONFIG.stats_min_n,
+)
 
 
 # ===== Proportion z-test =====
@@ -25,16 +33,16 @@ from segforge.gamestats import (
 
 def test_fun_reports_z_and_verdicts():
     # 352 fun reports out of 540 game sessions
-    result = proportion_ztest(352, 540, alternative="greater")
+    result = proportion_ztest(352, 540, alternative="greater", **STATS)
     assert round(result.z, 2) == 7.06
     assert render_p_value(result.p_value) == "0.00000"
     assert result.h0_rejected
-    assert proportion_ztest(352, 540, alternative="two-sided").h0_rejected
-    assert not proportion_ztest(352, 540, alternative="less").h0_rejected
+    assert proportion_ztest(352, 540, alternative="two-sided", **STATS).h0_rejected
+    assert not proportion_ztest(352, 540, alternative="less", **STATS).h0_rejected
 
 
 def test_fun_reports_walds_interval():
-    result = proportion_ztest(352, 540)
+    result = proportion_ztest(352, 540, **STATS)
     lo, hi = result.ci
     assert abs(lo - 0.59905) < 5e-4
     assert abs(hi - 0.70466) < 5e-4
@@ -43,14 +51,14 @@ def test_fun_reports_walds_interval():
 @pytest.mark.parametrize("x, n", [(352, 540), (9, 39)])
 def test_one_sided_bound_uses_the_correctly_rounded_quantile(x, n):
     # 2.3263478740408408: the correctly rounded quantile of the double nearest 0.99
-    result = proportion_ztest(x, n, alternative="greater")
+    result = proportion_ztest(x, n, alternative="greater", **STATS)
     p_hat = x / n
     se = math.sqrt(p_hat * (1.0 - p_hat) / n)
     assert result.ci[0] == p_hat - 2.3263478740408408 * se
 
 
 def test_exact_null_gives_unit_p():
-    result = proportion_ztest(270, 540)
+    result = proportion_ztest(270, 540, **STATS)
     assert result.z == 0.0
     assert result.p_value == 1.0
     assert not result.h0_rejected
@@ -58,15 +66,15 @@ def test_exact_null_gives_unit_p():
 
 def test_improved_learning_z():
     # 219 improved out of 309 eligible participants
-    result = proportion_ztest(219, 309, alternative="greater")
+    result = proportion_ztest(219, 309, alternative="greater", **STATS)
     assert round(result.z, 2) == 7.34
     assert abs(result.p_hat - 0.709) < 5e-4
     assert result.h0_rejected
 
 
 def test_one_sided_intervals_touch_the_bound():
-    greater = proportion_ztest(352, 540, alternative="greater")
-    less = proportion_ztest(352, 540, alternative="less")
+    greater = proportion_ztest(352, 540, alternative="greater", **STATS)
+    less = proportion_ztest(352, 540, alternative="less", **STATS)
     assert greater.ci[1] == 1.0
     assert less.ci[0] == 0.0
     assert greater.ci[0] > 0.5
@@ -74,9 +82,9 @@ def test_one_sided_intervals_touch_the_bound():
 
 def test_insufficient_sample():
     with pytest.raises(InsufficientSample):
-        proportion_ztest(10, 29)
+        proportion_ztest(10, 29, **STATS)
     # guard is configurable
-    assert proportion_ztest(10, 29, min_n=20).n == 29
+    assert proportion_ztest(10, 29, **dict(STATS, min_n=20)).n == 29
 
 
 @pytest.mark.parametrize(
@@ -91,28 +99,28 @@ def test_insufficient_sample():
 )
 def test_ztest_rejects_bad_arguments(kwargs):
     with pytest.raises(ValueError):
-        proportion_ztest(**kwargs)
+        proportion_ztest(**kwargs, **STATS)
 
 
 @given(st.integers(0, 200), st.integers(30, 200))
 def test_two_sided_p_symmetric_about_half(x, n):
     x = min(x, n)
-    a = proportion_ztest(x, n)
-    b = proportion_ztest(n - x, n)
+    a = proportion_ztest(x, n, **STATS)
+    b = proportion_ztest(n - x, n, **STATS)
     assert math.isclose(a.p_value, b.p_value, rel_tol=0, abs_tol=1e-12)
 
 
 @given(st.integers(0, 300), st.integers(30, 300))
 def test_one_sided_ps_sum_to_one(x, n):
     x = min(x, n)
-    greater = proportion_ztest(x, n, alternative="greater")
-    less = proportion_ztest(x, n, alternative="less")
+    greater = proportion_ztest(x, n, alternative="greater", **STATS)
+    less = proportion_ztest(x, n, alternative="less", **STATS)
     assert greater.p_value + less.p_value == 1.0
 
 
 def test_ci_symmetric_and_narrowing():
-    small = proportion_ztest(60, 100)
-    big = proportion_ztest(240, 400)
+    small = proportion_ztest(60, 100, **STATS)
+    big = proportion_ztest(240, 400, **STATS)
     for result in (small, big):
         mid = (result.ci[0] + result.ci[1]) / 2.0
         assert abs(mid - result.p_hat) < 1e-12
@@ -163,7 +171,7 @@ def _records():
 
 
 def test_analyze_counts_eligibility():
-    analysis = analyze_sessions(_records())
+    analysis = analyze_sessions(_records(), **STATS)
     assert analysis.total_sessions == 45
     assert analysis.eligible_sessions == 35
     assert analysis.fun_test.x == 35
@@ -177,12 +185,12 @@ def test_analyze_respects_min_n():
     records = _records()
     few_eligible = records[:25] + records[35:]  # 35 sessions, 25 eligible
     with pytest.raises(InsufficientSample):
-        analyze_sessions(few_eligible)
-    analyze_sessions(few_eligible, min_n=10)
+        analyze_sessions(few_eligible, **STATS)
+    analyze_sessions(few_eligible, **dict(STATS, min_n=10))
 
 
 def test_report_mentions_key_numbers():
-    text = format_report(analyze_sessions(_records()))
+    text = format_report(analyze_sessions(_records(), **STATS))
     assert "successes 35 of 45" in text
     assert "successes 25 of 35" in text
     assert "H0 pi = 0.5 rejected" in text
@@ -190,7 +198,7 @@ def test_report_mentions_key_numbers():
 
 
 def test_report_rows_round_to_report():
-    rows = dict(report_rows(analyze_sessions(_records())))
+    rows = dict(report_rows(analyze_sessions(_records(), **STATS)))
     assert rows["fun_successes"] == "35"
     assert rows["learning_trials"] == "35"
     assert rows["fun_learning"] == "25"

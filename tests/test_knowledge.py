@@ -219,7 +219,7 @@ def test_json_round_trip_preserves_seven_fields() -> None:
     import json
 
     ordered = annotate_dataset()
-    line = ordered[0].to_json_line()
+    line = json.dumps(vars(ordered[0]))
     record = json.loads(line)
     for field in (
         "atom_1_number",

@@ -227,6 +227,26 @@ def test_load_rejects_corrupt_file(tmp_path) -> None:
         load_library(str(path))
 
 
+@pytest.mark.parametrize(
+    "table, column, value",
+    [
+        ("games", "complexity", float("inf")),
+        ("clusters", "s", float("-inf")),
+        ("clusters", "centroid", "[NaN, 0.0]"),
+    ],
+)
+def test_load_rejects_a_number_that_is_not_finite(tmp_path, table, column, value) -> None:
+    library = _tiny_library()
+    path = str(tmp_path / "library.sqlite")
+    save_library(library, path)
+    conn = sqlite3.connect(path)
+    conn.execute(f"UPDATE {table} SET {column} = ?", (value,))
+    conn.commit()
+    conn.close()
+    with pytest.raises(CorruptStore, match="not a finite number"):
+        load_library(path)
+
+
 def test_load_rejects_missing_file(tmp_path) -> None:
     with pytest.raises(CorruptStore):
         load_library(str(tmp_path / "absent.sqlite"))
