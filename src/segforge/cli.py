@@ -36,7 +36,7 @@ from .clustering import (
     search_threshold,
     summarize,
 )
-from .config import PipelineConfig, default_config_text, load_config
+from .config import ConfigInvalid, PipelineConfig, default_config_text, load_config
 from .contentspace import (
     FEATURE_NAMES,
     Difficulty,
@@ -558,6 +558,9 @@ def run_map(config: PipelineConfig, out: Path, export_plots: bool = False) -> No
             f"the positions of the file's {len(compounds)} compounds"
         )
         raise _malformed(path, _record_line(path, stray), problem)
+    if config.cluster_k != len(compounds):
+        problem = f"map needs one cluster per level for each of the {len(compounds)} compounds"
+        raise ConfigInvalid(f"cluster.k is {config.cluster_k}, but {problem} in annotations.jsonl")
     games = _load_games(out, config_hash)
     summaries = _load_summaries(out, config_hash)
     by_level = {level: [s for s in summaries if s.difficulty == level] for level in Difficulty}

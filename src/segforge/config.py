@@ -11,7 +11,7 @@ import hashlib
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .engine import POLICIES
+from .engine import NEGATIVE_ACTION_NAMES, POLICIES, POSITIVE_ACTION_NAMES
 from .errors import SegforgeError
 from .mapping import text_parser
 
@@ -34,59 +34,74 @@ _parse_float = text_parser("float")
 
 
 def _parse_floats(raw: str) -> tuple[float, ...]:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("empty list")
-    return tuple(_parse_float(p) for p in parts)
+    # an empty item, as in "1,,2" or "1, 2,", is refused rather than dropped
+    return tuple(map(_parse_float, raw.split(",")))
 
 
-def _parse_grid(raw: str) -> tuple[float, ...]:
-    values = _parse_floats(raw)
-    if any(v <= 0 for v in values):
-        raise ValueError("thresholds must be positive")
-    return tuple(sorted(set(values)))
+def _setting(key: str, parse, default: str = "", rule=None):
+    """A field's config key, the parser of its text, its default as written
+    in a config file (an empty default is left commented out) and its rule:
+    a test of the parsed value and the text of what the value must be."""
+    return field(metadata={"key": key, "parse": parse, "default": default, "rule": rule})
 
 
-def _setting(key: str, parse, default: str = ""):
-    """A field's config key, the parser of its text and its default as
-    written in a config file; an empty default is left commented out."""
-    return field(metadata={"key": key, "parse": parse, "default": default})
+_AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
+_AT_LEAST_2 = (lambda v: v >= 2, "must be at least 2")
+_ODD_SIDE = (lambda v: v >= 5 and v % 2 == 1, "must be an odd number >= 5")
+_OPEN_UNIT = (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")
+_POLICY = (lambda v: v in POLICIES, f"must be one of {', '.join(POLICIES)}")
+# the rules that join settings, checked once every field has passed its own
+_JOINT_RULES = (
+    (lambda c: c.easy_medium < c.medium_hard, "score.easy_medium must lie below score.medium_hard"),
+)
+
+
+def _one_weight_each(names: tuple[str, ...]):
+    """The rule of a weight list: one weight per action that a tally counts."""
+    return lambda v: len(v) == len(names), f"must hold one weight per action: {', '.join(names)}"
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     """Validated, typed settings for every pipeline stage, each declared
-    once: its field holds its key, parser and default."""
+    once: its field holds its key, parser, default and rule."""
 
-    maze_count: int = _setting("maze.count", int, "972")
-    maze_width: int = _setting("maze.width", int, "21")
-    maze_height: int = _setting("maze.height", int, "21")
+    maze_count: int = _setting("maze.count", int, "972", _AT_LEAST_1)
+    maze_width: int = _setting("maze.width", int, "21", _ODD_SIDE)
+    maze_height: int = _setting("maze.height", int, "21", _ODD_SIDE)
     space_seed: int = _setting("space.seed", int, "9001")
-    cluster_branching: int = _setting("cluster.branching", int, "2")
-    cluster_k: int = _setting("cluster.k", int, "100")
+    cluster_branching: int = _setting("cluster.branching", int, "2", _AT_LEAST_2)
+    cluster_k: int = _setting("cluster.k", int, "100", _AT_LEAST_2)
     cluster_threshold_grid: tuple[float, ...] = _setting(
-        "cluster.threshold_grid", _parse_grid, "0.005, 0.01, 0.02, 0.04, 0.08"
+        "cluster.threshold_grid",
+        lambda raw: tuple(sorted(set(_parse_floats(raw)))),
+        "0.005, 0.01, 0.02, 0.04, 0.08",
+        (lambda v: min(v) > 0, "must hold only positive thresholds"),
     )
-    cluster_sample_cap: int = _setting("cluster.sample_cap", int, "2000")
+    cluster_sample_cap: int = _setting("cluster.sample_cap", int, "2000", _AT_LEAST_2)
     cluster_seed: int = _setting("cluster.seed", int, "0")
-    positive_weights: tuple[float, ...] = _setting("score.positive_weights", _parse_floats, "1, 1")
-    negative_weights: tuple[float, ...] = _setting("score.negative_weights", _parse_floats, "1, 1")
+    positive_weights: tuple[float, ...] = _setting(
+        "score.positive_weights", _parse_floats, "1, 1", _one_weight_each(POSITIVE_ACTION_NAMES)
+    )
+    negative_weights: tuple[float, ...] = _setting(
+        "score.negative_weights", _parse_floats, "1, 1", _one_weight_each(NEGATIVE_ACTION_NAMES)
+    )
     # Session scores that separate the three mastery bands. Calibrated
     # against the bundled bot policies on the practice game (200 seeds
     # each): random play stays almost entirely below 3, greedy play splits
     # roughly evenly across the three bands.
     easy_medium: float = _setting("score.easy_medium", _parse_float, "3.0")
     medium_hard: float = _setting("score.medium_hard", _parse_float, "9.0")
-    sim_players: int = _setting("sim.players", int, "10")
-    sim_sessions: int = _setting("sim.sessions", int, "25")
-    sim_policy: str = _setting("sim.policy", str, "greedy")
+    sim_players: int = _setting("sim.players", int, "10", _AT_LEAST_1)
+    sim_sessions: int = _setting("sim.sessions", int, "25", _AT_LEAST_1)
+    sim_policy: str = _setting("sim.policy", str, "greedy", _POLICY)
     sim_seed: int = _setting("sim.seed", int, "4242")
     # batch runs reopen exhausted clusters so small clusters do not starve
     # a whole cohort
     sim_recycle: bool = _setting("sim.recycle", _parse_bool, "true")
-    stats_min_n: int = _setting("stats.min_n", int, "30")
-    stats_ci_level: float = _setting("stats.ci_level", _parse_float, "0.99")
-    stats_significance: float = _setting("stats.significance", _parse_float, "0.01")
+    stats_min_n: int = _setting("stats.min_n", int, "30", _AT_LEAST_1)
+    stats_ci_level: float = _setting("stats.ci_level", _parse_float, "0.99", _OPEN_UNIT)
+    stats_significance: float = _setting("stats.significance", _parse_float, "0.01", _OPEN_UNIT)
     compounds_path: str = _setting("knowledge.compounds_path", str)
     table_path: str = _setting("knowledge.table_path", str)
 
@@ -114,30 +129,9 @@ def serialize_config(config: PipelineConfig) -> str:
     return "\n".join(sorted(lines)) + "\n"
 
 
-def _validate(config: PipelineConfig) -> None:
-    checks = (
-        (config.maze_count >= 1, "maze.count must be at least 1"),
-        (config.maze_width >= 5 and config.maze_width % 2 == 1, "maze.width must be an odd number >= 5"),
-        (config.maze_height >= 5 and config.maze_height % 2 == 1, "maze.height must be an odd number >= 5"),
-        (config.cluster_branching >= 2, "cluster.branching must be at least 2"),
-        (config.cluster_k >= 2, "cluster.k must be at least 2"),
-        (config.cluster_sample_cap >= 2, "cluster.sample_cap must be at least 2"),
-        (len(config.cluster_threshold_grid) >= 1, "cluster.threshold_grid must not be empty"),
-        (config.easy_medium < config.medium_hard, "score.easy_medium must lie below score.medium_hard"),
-        (config.sim_players >= 1, "sim.players must be at least 1"),
-        (config.sim_sessions >= 1, "sim.sessions must be at least 1"),
-        (config.sim_policy in POLICIES, f"sim.policy must be one of {', '.join(POLICIES)}"),
-        (config.stats_min_n >= 1, "stats.min_n must be at least 1"),
-        (0.0 < config.stats_ci_level < 1.0, "stats.ci_level must lie in (0, 1)"),
-        (0.0 < config.stats_significance < 1.0, "stats.significance must lie in (0, 1)"),
-    )
-    for ok, message in checks:
-        if not ok:
-            raise ConfigInvalid(message)
-
-
 def _parse_lines(text: str, source: str, keys) -> dict[str, str]:
     values: dict[str, str] = {}
+    first_lines: dict[str, int] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
@@ -148,6 +142,8 @@ def _parse_lines(text: str, source: str, keys) -> dict[str, str]:
         key = key.strip()
         if key not in keys:
             raise ConfigInvalid(f"{source}:{lineno}: unknown key {key!r}")
+        if (first := first_lines.setdefault(key, lineno)) != lineno:
+            raise ConfigInvalid(f"{source}:{lineno}: key {key!r} repeats line {first}")
         values[key] = raw_value.strip()
     return values
 
@@ -179,13 +175,17 @@ def load_config(
 
     kwargs = {}
     for f in settings:
-        key = f.metadata["key"]
+        key, rule = f.metadata["key"], f.metadata["rule"]
         try:
-            kwargs[f.name] = f.metadata["parse"](raw[key])
+            kwargs[f.name] = value = f.metadata["parse"](raw[key])
         except (ValueError, TypeError) as exc:
             raise ConfigInvalid(f"bad value for {key}: {raw[key]!r} ({exc})") from exc
+        if rule is not None and not rule[0](value):
+            raise ConfigInvalid(f"{key} {rule[1]}")
     config = PipelineConfig(**kwargs)
-    _validate(config)
+    for holds, message in _JOINT_RULES:
+        if not holds(config):
+            raise ConfigInvalid(message)
     return config
 
 

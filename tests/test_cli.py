@@ -574,6 +574,23 @@ def test_misnumbered_annotation_fails_cleanly(
     assert not (broken / "library.sqlite").exists()
 
 
+def test_cluster_count_other_than_compound_count_fails_cleanly(workdir, tmp_path, capsys):
+    _, out = workdir
+    run = tmp_path / "fewer_clusters"
+    run.mkdir()
+    for name in ("annotations.jsonl", "games.csv", "clusters.csv", "membership.csv"):
+        shutil.copy(out / name, run / name)
+    config = tmp_path / "k50.conf"
+    config.write_text(TEST_CONFIG + "cluster.k = 50\n")
+    assert main(["map", "--config", str(config), "--out", str(run)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == (
+        "segforge map: cluster.k is 50, but map needs one cluster per level for each "
+        "of the 100 compounds in annotations.jsonl"
+    )
+    assert not (run / "library.sqlite").exists()
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("fun", "no"), ("fun", None), ("pre_exam", 2), ("pre_exam", "1"), ("post_exam", None)],

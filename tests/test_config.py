@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import inspect
+from dataclasses import fields
 
 import pytest
 
@@ -11,6 +12,7 @@ from segforge import clustering, contentspace, engine, gamestats
 from segforge.cli import main
 from segforge.config import (
     ConfigInvalid,
+    PipelineConfig,
     default_config_text,
     load_config,
     serialize_config,
@@ -92,21 +94,28 @@ def test_missing_file_rejected(tmp_path):
         load_config(tmp_path / "absent.conf")
 
 
+def test_repeated_key_rejected(tmp_path):
+    path = tmp_path / "twice.conf"
+    path.write_text("maze.count = 54\n# later\nmaze.count = 60\n")
+    with pytest.raises(ConfigInvalid) as info:
+        load_config(path)
+    assert str(info.value) == f"{path}:3: key 'maze.count' repeats line 1"
+
+
+# the cases that test_config_fault_names_its_key does not generate: a second
+# value past a rule's bound, the rule that joins two settings, values that
+# are not finite inside a list or of another kind than nan, and empty items
 @pytest.mark.parametrize(
     "line,fragment",
     [
-        ("maze.count = many", "bad value"),
-        ("maze.width = 20", "odd"),
         ("maze.width = 3", "odd"),
         ("score.easy_medium = 12", "below"),
-        ("sim.policy = clever", "policy"),
-        ("stats.ci_level = 1.5", "ci_level"),
         ("cluster.threshold_grid = -0.5", "positive"),
-        ("sim.recycle = maybe", "bad value"),
         ("cluster.threshold_grid = nan, 0.01", "finite"),
         ("score.positive_weights = nan, inf", "finite"),
+        ("score.positive_weights = 1,,1", "bad value"),
+        ("cluster.threshold_grid = 0.01, 0.02,", "bad value"),
         ("score.easy_medium = -inf", "finite"),
-        ("stats.significance = nan", "finite"),
     ],
 )
 def test_validation_failures(tmp_path, line, fragment):
@@ -114,6 +123,68 @@ def test_validation_failures(tmp_path, line, fragment):
     path.write_text(line + "\n")
     with pytest.raises(ConfigInvalid, match=fragment):
         load_config(path)
+
+
+# text that the parser of a setting of each type refuses; a str setting
+# takes any text
+UNPARSEABLE = {"int": "many", "bool": "maybe", "float": "high", "tuple[float, ...]": "0.5, x"}
+# for each setting that has a rule, a value that breaks it and the text of
+# the rule, as its one stderr line must give it after the key
+RULE_BREAKERS = {
+    "maze.count": ("0", "must be at least 1"),
+    "maze.width": ("20", "must be an odd number >= 5"),
+    "maze.height": ("1", "must be an odd number >= 5"),
+    "cluster.branching": ("1", "must be at least 2"),
+    "cluster.k": ("1", "must be at least 2"),
+    "cluster.threshold_grid": ("0.01, 0", "must hold only positive thresholds"),
+    "cluster.sample_cap": ("0", "must be at least 2"),
+    "score.positive_weights": (
+        "1",
+        "must hold one weight per action: correct_collections, accurate_shots",
+    ),
+    "score.negative_weights": (
+        "1, 1, 1",
+        "must hold one weight per action: life_losses, wrong_collections",
+    ),
+    "sim.players": ("0", "must be at least 1"),
+    "sim.sessions": ("-1", "must be at least 1"),
+    "sim.policy": ("clever", "must be one of random, greedy"),
+    "stats.min_n": ("0", "must be at least 1"),
+    "stats.ci_level": ("1.5", "must lie in (0, 1)"),
+    "stats.significance": ("0", "must lie in (0, 1)"),
+}
+
+
+def _config_faults():
+    """For every setting: text its parser refuses, a value that breaks its
+    rule, and nan for a float; None stands for a case the tables lack, and
+    a rule case of a setting without a rule fails as well."""
+    cases = []
+    for f in fields(PipelineConfig):
+        key = f.metadata["key"]
+        if f.type != "str":
+            text = UNPARSEABLE.get(f.type)
+            cases.append(pytest.param(key, text, f"bad value for {key}: ", id=f"{key} = {text}"))
+        if f.metadata["rule"] is not None or key in RULE_BREAKERS:
+            text, must = RULE_BREAKERS.get(key, (None, None))
+            cases.append(pytest.param(key, text, f"{key} {must}", id=f"{key} = {text}"))
+        if "float" in f.type:
+            message = f"bad value for {key}: 'nan' ('nan' is not a finite number)"
+            cases.append(pytest.param(key, "nan", message, id=f"{key} = nan"))
+    return cases
+
+
+@pytest.mark.parametrize("key, text, message", _config_faults())
+def test_config_fault_names_its_key(tmp_path, capsys, key, text, message):
+    assert text is not None, f"{key} has no fault case for its parser or its rule"
+    config = tmp_path / "fault.conf"
+    config.write_text(f"{key} = {text}\n")
+    out = tmp_path / "o"
+    assert main(["annotate", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"segforge annotate: {message}")
+    assert not (out / "annotations.jsonl").exists()
 
 
 def test_overrides_apply_after_file(tmp_path):
