@@ -156,14 +156,26 @@ def _malformed(path: Path, line: int, exc: Exception) -> MalformedArtifact:
     return MalformedArtifact(f"{path.name} line {line}: {type(exc).__name__}: {exc}")
 
 
-def _read_csv(path: Path, config_hash: str, convert) -> list:
+def _check_key(key: tuple[str, ...], record: dict, number: int, first_lines: dict) -> None:
+    """Raise ValueError if the ``key`` fields of ``record``, on line
+    ``number``, hold the values of an earlier record's, whose line
+    ``first_lines`` keeps: each record of an artifact is identified once."""
+    value = tuple(record[name] for name in key)
+    if (first := first_lines.setdefault(value, number)) != number:
+        named = ", ".join(f"{name} {v!r}" for name, v in zip(key, value))
+        raise ValueError(f"{named} repeats line {first}")
+
+
+def _read_csv(path: Path, config_hash: str, convert, *key: str) -> list:
     """``convert`` applied to each data row of a stage CSV, passed as a
-    column -> text dict; a line that does not decode or convert names its number."""
+    column -> text dict; a line that does not decode or convert, or repeats
+    an earlier row's ``key`` columns, names its number."""
     _require(path)
     found = None
     numbers: list[int] = []
     body: list[str] = []
     records = []
+    first_lines: dict[tuple, int] = {}
     number = 0
     try:
         for number, raw in enumerate(path.read_bytes().splitlines(), 1):
@@ -180,7 +192,9 @@ def _read_csv(path: Path, config_hash: str, convert) -> list:
         for number, values in zip(numbers[1:], rows):
             if len(values) != len(header):
                 raise ValueError(f"{len(values)} fields under a {len(header)}-column header")
-            records.append(convert(dict(zip(header, values))))
+            row = dict(zip(header, values))
+            records.append(convert(row))
+            _check_key(key, row, number, first_lines)
     except (KeyError, TypeError, ValueError) as exc:
         raise _malformed(path, number, exc) from None
     return records
@@ -199,15 +213,18 @@ def _write_jsonl(path: Path, meta: dict, lines: list[str]) -> None:
 
 
 def _read_jsonl(
-    path: Path, config_hash: str, convert, artifact: str | None = None
+    path: Path, config_hash: str, convert, *key: str, artifact: str | None = None
 ) -> tuple[dict, list]:
     """The meta line and the records of a stage JSONL file, ``convert``
-    applied to each record; a line that does not parse names its number, and
-    line 1 must be the meta line of ``artifact`` (by default ``path``'s file)."""
+    applied to each record; a line that does not parse, or repeats an
+    earlier record's ``key`` fields, names its number. Line 1 must be the
+    meta line of ``artifact`` (by default ``path``'s file), and its
+    ``count``, where it has one, the number of records."""
     _require(path, artifact)
     tag = Path(artifact or path.name).stem
     records: list = []
     meta: dict = {}
+    first_lines: dict[tuple, int] = {}
     number = 0
     # each line decoded on its own, so a byte that is not UTF-8 names its line
     with path.open("rb") as handle:
@@ -225,10 +242,16 @@ def _read_jsonl(
                     meta = data
                 else:
                     records.append(convert(data))
+                    _check_key(key, data, number, first_lines)
         except (KeyError, TypeError, ValueError) as exc:
             raise _malformed(path, number, exc) from None
     if number == 0:
         raise _malformed(path, 1, ValueError("empty file, no meta line"))
+    count = meta.get("count", len(records))
+    if count != len(records):
+        raise MalformedArtifact(
+            f"{path.name}: the meta line gives count {count!r}, but {len(records)} records follow"
+        )
     _check_hash(meta.get("config_hash"), config_hash, path)
     return meta, records
 
@@ -327,7 +350,6 @@ def run_gen_space(config: PipelineConfig, out: Path) -> None:
 
     rows = []
     for game in games:
-        # the game's own maze_id wins over the features' identical one
         values = {**vars(features[game.maze_id]), **vars(game)}
         rows.append([values[c] for c in SPACE_COLUMNS])
     _atomic_write(out / "space.csv", _csv_text(config_hash, SPACE_COLUMNS, rows))
@@ -346,7 +368,7 @@ def run_categorize(config: PipelineConfig, out: Path) -> None:
         game(row)
         return [row[c] for c in GAME_COLUMNS]
 
-    out_rows = _read_csv(out / "space.csv", config_hash, categorized)
+    out_rows = _read_csv(out / "space.csv", config_hash, categorized, "game_id")
     _atomic_write(out / "games.csv", _csv_text(config_hash, GAME_COLUMNS, out_rows))
     logger.info("categorized %d games", len(out_rows))
 
@@ -355,6 +377,9 @@ def run_cluster(config: PipelineConfig, out: Path) -> None:
     config_hash = config.config_hash()
     # Earlier garbage is freed before the stage's data are loaded, so they
     # reuse its memory rather than leave holes that the search cannot fill.
+    # The search's trees and clusters then stay alive until it returns, so
+    # the cyclic collector would walk them again and again and free nothing:
+    # it is paused for the search, and a forked child inherits the pause.
     collecting = gc.isenabled()
     if collecting:
         gc.collect()
@@ -365,12 +390,24 @@ def run_cluster(config: PipelineConfig, out: Path) -> None:
     work = {}
     for level in Difficulty:
         tags = sorted(game.game_id for game in games if game.difficulty == level)
+        # a search can make no more leaf clusters than its level has games
+        if len(tags) < config.cluster_k:
+            raise ConfigInvalid(
+                f"cluster.k is {config.cluster_k}, but level '{level}' has only "
+                f"{len(tags)} games in games.csv, fewer than one per cluster"
+            )
         work[level] = (tags, scaler.transform([raw[tag] for tag in tags]))
-    # without os.sched_getaffinity (not Linux) or a second CPU, no fork
-    if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
-        outcomes = _search_in_two_processes(config, work, collecting)
-    else:
-        outcomes = _search_levels(config, work, collecting)
+    if collecting:
+        gc.disable()
+    try:
+        # without os.sched_getaffinity (not Linux) or a second CPU, no fork
+        if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
+            outcomes = _search_in_two_processes(config, work)
+        else:
+            outcomes = _search_levels(config, work)
+    finally:
+        if collecting:
+            gc.enable()
 
     cluster_rows = []
     member_rows = []
@@ -414,18 +451,12 @@ _LevelWork = dict[Difficulty, tuple[list[str], list[tuple[float, ...]]]]
 
 
 def _search_levels(
-    config: PipelineConfig, work: _LevelWork, collecting: bool
+    config: PipelineConfig, work: _LevelWork
 ) -> dict[Difficulty, ThresholdSearchResult | Exception]:
     """Each level's threshold search, in the order of ``work``, up to the
     first that raises; that level's exception stands in for its result."""
     outcomes: dict[Difficulty, ThresholdSearchResult | Exception] = {}
     for level, (tags, points) in work.items():
-        # The search's trees and clusters stay alive until it returns, so the
-        # cyclic collector would walk them again and again and free nothing.
-        # What is garbage already is freed first rather than held through it.
-        if collecting:
-            gc.collect()
-            gc.disable()
         try:
             outcomes[level] = search_threshold(
                 points,
@@ -439,14 +470,11 @@ def _search_levels(
         except Exception as exc:
             outcomes[level] = exc
             break
-        finally:
-            if collecting:
-                gc.enable()
     return outcomes
 
 
 def _search_in_two_processes(
-    config: PipelineConfig, work: _LevelWork, collecting: bool
+    config: PipelineConfig, work: _LevelWork
 ) -> dict[Difficulty, ThresholdSearchResult | Exception]:
     """``_search_levels`` with the level of the most games searched in this
     process and the others, in order, in one forked child.
@@ -466,12 +494,12 @@ def _search_in_two_processes(
         os.close(read_fd)
         os.close(write_fd)
         logger.warning("cannot fork (%s); searching every level in this process", exc.strerror)
-        return _search_levels(config, work, collecting)
+        return _search_levels(config, work)
     if pid == 0:
         status = 1
         try:
             os.close(read_fd)
-            payload = pickle.dumps(_search_levels(config, forked, collecting))
+            payload = pickle.dumps(_search_levels(config, forked))
             with open(write_fd, "wb") as pipe:
                 pipe.write(payload)
             status = 0
@@ -482,7 +510,7 @@ def _search_in_two_processes(
     reaped = False
     try:
         with open(read_fd, "rb") as pipe:
-            outcomes = _search_levels(config, {own: work[own]}, collecting)
+            outcomes = _search_levels(config, {own: work[own]})
             # the child blocks on a full pipe until this read drains it
             payload = pipe.read()
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -499,23 +527,13 @@ def _search_in_two_processes(
 
 
 def _load_games(out: Path, config_hash: str) -> list[GameRecord]:
-    parse = _row_parser(GameRecord)
-    seen: set[str] = set()
-
-    def game(row: dict[str, str]) -> GameRecord:
-        record = parse(row)
-        if record.game_id in seen:
-            raise ValueError(f"game_id {record.game_id!r} repeats an earlier row")
-        seen.add(record.game_id)
-        return record
-
-    return _read_csv(out / "games.csv", config_hash, game)
+    return _read_csv(out / "games.csv", config_hash, _row_parser(GameRecord), "game_id")
 
 
 def _load_summaries(out: Path, config_hash: str) -> list[ClusterSummary]:
     members: dict[str, list[str]] = {}
     pairs = itemgetter("cluster_id", "game_id")
-    for cluster_id, game_id in _read_csv(out / "membership.csv", config_hash, pairs):
+    for cluster_id, game_id in _read_csv(out / "membership.csv", config_hash, pairs, "game_id"):
         members.setdefault(cluster_id, []).append(game_id)
 
     scalars = [(f.name, text_parser(f.type)) for f in _SUMMARY_SCALARS]
@@ -528,25 +546,20 @@ def _load_summaries(out: Path, config_hash: str) -> list[ClusterSummary]:
             member_game_ids=tuple(sorted(members.get(row["cluster_id"], ()))),
         )
 
-    return _read_csv(out / "clusters.csv", config_hash, summary)
+    return _read_csv(out / "clusters.csv", config_hash, summary, "cluster_id")
 
 
 def run_map(config: PipelineConfig, out: Path, export_plots: bool = False) -> None:
     config_hash = config.config_hash()
     decode = row_decoder(fields(CompoundAnnotation))
-    seen: set[int] = set()
 
     def compound(record: dict) -> CompoundAnnotation:
         # the first build refuses a missing or unknown field, the decoders a
         # value that is not of its field's type, a missing compound_id too
-        annotation = CompoundAnnotation(*decode(vars(CompoundAnnotation(**record)).values()))
-        if annotation.compound_id in seen:
-            raise ValueError(f"compound_id {annotation.compound_id} repeats an earlier record")
-        seen.add(annotation.compound_id)
-        return annotation
+        return CompoundAnnotation(*decode(vars(CompoundAnnotation(**record)).values()))
 
     path = out / "annotations.jsonl"
-    _, compounds = _read_jsonl(path, config_hash, compound)
+    _, compounds = _read_jsonl(path, config_hash, compound, "compound_id")
     # distinct ids, so every id lies in 1..N only if they are exactly 1..N,
     # the curriculum positions the sessions walk through
     stray = next(
@@ -624,7 +637,7 @@ def run_simulate(config: PipelineConfig, out: Path) -> None:
     config_hash = config.config_hash()
     _require(out / "library.sqlite")
     library = load_library(str(out / "library.sqlite"), expected_config_hash=config_hash)
-    _, decoded = _read_jsonl(out / "mazes.jsonl", config_hash, maze_from_record)
+    _, decoded = _read_jsonl(out / "mazes.jsonl", config_hash, maze_from_record, "maze_id")
     stored = {grid.maze_id: (grid, features) for grid, features in decoded}
     games_on: dict[str, list[GameRecord]] = {}
     for game in library.games:
@@ -718,7 +731,6 @@ def run_simulate(config: PipelineConfig, out: Path) -> None:
 def run_analyze(config: PipelineConfig, out: Path, sessions_path: str | None = None) -> None:
     config_hash = config.config_hash()
     path = Path(sessions_path) if sessions_path else out / "sessions.jsonl"
-    seen: set[tuple] = set()
 
     def session(record: dict) -> dict:
         # the fields analyze_sessions reads, with the types it counts on
@@ -727,13 +739,11 @@ def run_analyze(config: PipelineConfig, out: Path, sessions_path: str | None = N
         for name in ("pre_exam", "post_exam"):
             if type(record[name]) is not int or record[name] not in (0, 1):
                 raise ValueError(f"{name} is {record[name]!r}, not 0 or 1")
-        key = (record["player_id"], record["seed"])
-        if key in seen:
-            raise ValueError(f"a second session of player {key[0]!r} with seed {key[1]!r}")
-        seen.add(key)
         return record
 
-    _, records = _read_jsonl(path, config_hash, session, artifact="sessions.jsonl")
+    _, records = _read_jsonl(
+        path, config_hash, session, "player_id", "seed", artifact="sessions.jsonl"
+    )
     analysis = analyze_sessions(
         records,
         ci_level=config.stats_ci_level,

@@ -13,6 +13,7 @@ from pathlib import Path
 
 from .engine import NEGATIVE_ACTION_NAMES, POLICIES, POSITIVE_ACTION_NAMES
 from .errors import SegforgeError
+from .knowledge import read_text
 from .mapping import text_parser
 
 
@@ -160,14 +161,8 @@ def load_config(
     settings = fields(PipelineConfig)
     raw = {f.metadata["key"]: f.metadata["default"] for f in settings}
     if path is not None:
-        file_path = Path(path)
-        if not file_path.is_file():
-            raise ConfigInvalid(f"config file not found: {file_path}")
-        try:
-            text = file_path.read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise ConfigInvalid(f"{file_path}: not UTF-8 text ({exc})") from None
-        raw.update(_parse_lines(text, str(file_path), raw))
+        text = read_text(path, "config file", ConfigInvalid)
+        raw.update(_parse_lines(text, str(path), raw))
     for key, value in (overrides or {}).items():
         if key not in raw:
             raise ConfigInvalid(f"unknown override key {key!r}")

@@ -64,10 +64,9 @@ class MazeFeatures:
     total_intersections: int
     total_deadend: int
     complexity: float
-    maze_id: str | None = None
 
 
-_MAZE_FEATURES = tuple(f.name for f in fields(MazeFeatures) if f.name != "maze_id")
+_MAZE_FEATURES = tuple(f.name for f in fields(MazeFeatures))
 FEATURE_NAMES = ("enemy_type", "total_enemy", "total_bullets") + _MAZE_FEATURES
 
 
@@ -171,7 +170,6 @@ def extract_features(grid: MazeGrid) -> MazeFeatures:
         total_intersections=intersections,
         total_deadend=deadends,
         complexity=complexity,
-        maze_id=grid.maze_id,
     )
 
 
@@ -296,10 +294,7 @@ def maze_from_record(record: dict) -> tuple[MazeGrid, MazeFeatures]:
         height=record["height"],
         cells=decode_cells(record["cells"], record["width"], record["height"]),
     )
-    features = MazeFeatures(
-        *[record[name] for name in _MAZE_FEATURES], maze_id=record["maze_id"]
-    )
-    return grid, features
+    return grid, MazeFeatures(*[record[name] for name in _MAZE_FEATURES])
 
 
 def maze_record_json(grid: MazeGrid, features: MazeFeatures) -> str:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .contentspace import Difficulty, GameParams, MazeGrid, PATH, generate_maze
 from .errors import SegforgeError
-from .mapping import ContentLibrary, GameRecord
+from .mapping import ContentLibrary
 
 POSITIVE_ACTION_NAMES = ("correct_collections", "accurate_shots")
 NEGATIVE_ACTION_NAMES = ("life_losses", "wrong_collections")
@@ -330,7 +330,7 @@ def _shared_prefix(a: tuple, b: tuple) -> int:
 class _Arena:
     """Mutable play state on one maze."""
 
-    def __init__(self, tree: MazeTree, params: GameParams | GameRecord, rng: random.Random):
+    def __init__(self, tree: MazeTree, params: GameParams, rng: random.Random):
         self.rng = rng
         self.cells = tree.cells
         self.path_cells = tree.path_cells
@@ -582,7 +582,7 @@ def _enemy_turn(arena: _Arena, tally: dict, events: list[SimEvent], tick: int) -
 
 def bot_simulate(
     tree: MazeTree,
-    params: GameParams | GameRecord,
+    params: GameParams,
     policy: str,
     seed: int,
 ) -> SimResult:

@@ -12,6 +12,7 @@ import csv
 import re
 from dataclasses import dataclass, replace
 from importlib import resources
+from os import PathLike
 
 from .errors import SegforgeError
 
@@ -72,16 +73,20 @@ class CompoundAnnotation:
     compound_id: int | None = None
 
 
-def _read_text(path: str) -> str:
-    """The UTF-8 text of the file at ``path``; a file that cannot be read
-    raises SegforgeError naming it."""
+def read_text(
+    path: str | PathLike, what: str = "file", error: type[SegforgeError] = SegforgeError
+) -> str:
+    """The UTF-8 text of the file at ``path``; a file that is missing, cannot
+    be read or is not UTF-8 raises ``error``, one line naming the file as ``what``."""
     try:
         with open(path, encoding="utf-8") as handle:
             return handle.read()
+    except FileNotFoundError:
+        raise error(f"{what} not found: {path}") from None
     except OSError as exc:
-        raise SegforgeError(f"cannot read {path}: {exc.strerror}") from None
+        raise error(f"cannot read {what} {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
-        raise SegforgeError(f"{path}: not UTF-8 text ({exc})") from None
+        raise error(f"{path}: not UTF-8 text ({exc})") from None
 
 
 def load_periodic_table(path: str | None = None) -> dict[str, int]:
@@ -93,7 +98,7 @@ def load_periodic_table(path: str | None = None) -> dict[str, int]:
     if path is None:
         text = resources.files("segforge.data").joinpath("periodic_table.csv").read_text()
     else:
-        text = _read_text(path)
+        text = read_text(path)
     table: dict[str, int] = {}
     for row in csv.reader(text.splitlines()):
         if not row or not "".join(row).strip():
@@ -152,7 +157,7 @@ def load_compounds(path: str | None = None) -> list[CompoundSpec]:
     if path is None:
         text = resources.files("segforge.data").joinpath("compounds.txt").read_text()
     else:
-        text = _read_text(path)
+        text = read_text(path)
     specs = []
     for line in text.splitlines():
         stripped = line.strip()

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 
 from .clustering import ClusterSummary
-from .contentspace import FEATURE_NAMES, Difficulty
+from .contentspace import FEATURE_NAMES, Difficulty, GameParams
 from .errors import SegforgeError
 from .knowledge import CompoundAnnotation
 
@@ -38,18 +38,14 @@ class CorruptStore(SegforgeError):
 
 
 @dataclass(frozen=True)
-class GameRecord:
+class GameRecord(GameParams):
     """One game variant with its difficulty and maze features.
 
-    The fields, in this order, are the columns of ``games.csv`` and of the
-    library's ``games`` table, and the keys of its JSON export.
+    The fields, the ``GameParams`` ones first and then these in this order,
+    are the columns of ``games.csv`` and of the library's ``games`` table,
+    and the keys of its JSON export.
     """
 
-    game_id: str
-    maze_id: str
-    enemy_type: int
-    total_enemy: int
-    total_bullets: int
     difficulty: Difficulty
     total_path: int
     total_corners: int

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import errno
 import gc
 import hashlib
+import importlib
+import importlib.util
 import json
 import logging
 import os
@@ -15,10 +18,12 @@ import sys
 import weakref
 from collections import Counter
 from dataclasses import fields
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from segforge import cli
+from segforge import cli, knowledge
 from segforge.cli import main
 from segforge.clustering import ClusterSummary, NoFeasibleThreshold, ThresholdCandidate
 from segforge.config import load_config
@@ -254,6 +259,8 @@ def test_maze_missing_from_store_fails_cleanly(workdir, tmp_path, capsys):
     lines = (out / "mazes.jsonl").read_text().splitlines()
     kept = [line for line in lines if json.loads(line).get("maze_id") != "m0007"]
     assert len(kept) == len(lines) - 1
+    # the meta line counts the records that are left
+    kept[0] = json.dumps({**json.loads(kept[0]), "count": len(kept) - 1})
     (broken / "mazes.jsonl").write_text("\n".join(kept) + "\n")
     assert main(["simulate", "--config", str(config), "--out", str(broken)]) == 1
     err = capsys.readouterr().err.strip()
@@ -446,24 +453,67 @@ def test_artifact_readers_give_each_level_as_a_difficulty(workdir):
     assert {type(record.difficulty) for record in records} == {Difficulty}
 
 
-@pytest.mark.parametrize("stage", ["cluster", "map"])
-def test_repeated_game_id_fails_cleanly(workdir, tmp_path, capsys, stage):
-    # A repeated row would count its game twice in a cluster, and map
-    # would then break the library's unique game ids.
+@pytest.mark.parametrize(
+    "stage, name, key",
+    [
+        pytest.param("categorize", "space.csv", ("game_id",), id="categorize-space.csv"),
+        pytest.param("cluster", "games.csv", ("game_id",), id="cluster"),
+        pytest.param("map", "games.csv", ("game_id",), id="map"),
+        pytest.param("map", "clusters.csv", ("cluster_id",), id="map-clusters.csv"),
+        pytest.param("map", "membership.csv", ("game_id",), id="map-membership.csv"),
+        pytest.param("map", "annotations.jsonl", ("compound_id",), id="map-annotations.jsonl"),
+        pytest.param("simulate", "mazes.jsonl", ("maze_id",), id="simulate-mazes.jsonl"),
+        pytest.param(
+            "analyze", "sessions.jsonl", ("player_id", "seed"), id="analyze-sessions.jsonl"
+        ),
+    ],
+)
+def test_repeated_game_id_fails_cleanly(workdir, tmp_path, capsys, stage, name, key):
+    """Line 6 repeated at the end of an artifact its stage reads. A repeated
+    game row would count its game twice in a cluster and break the library's
+    unique game ids; a repeated cluster or membership row would break the
+    cluster sizes, and the later of two mazes or sessions would silently win."""
     config, out = workdir
     broken = tmp_path / "twice"
-    broken.mkdir()
-    for name in ("annotations.jsonl", "clusters.csv", "membership.csv"):
-        shutil.copy(out / name, broken / name)
-    lines = (out / "games.csv").read_text().splitlines()
-    column = lines[1].split(",").index("game_id")
+    shutil.copytree(out, broken)
+    lines = (out / name).read_text().splitlines()
     copied = lines[5]
-    (broken / "games.csv").write_text("\n".join(lines + [copied]) + "\n")
+    if name.endswith(".csv"):
+        record = dict(zip(lines[1].split(","), copied.split(",")))
+    else:
+        record = json.loads(copied)
+        # the meta line counts the records, the repeated one too
+        meta = json.loads(lines[0])
+        if "count" in meta:
+            lines[0] = json.dumps({**meta, "count": meta["count"] + 1})
+    (broken / name).write_text("\n".join(lines + [copied]) + "\n")
     assert main([stage, "--config", str(config), "--out", str(broken)]) == 1
     err = capsys.readouterr().err.strip()
-    assert len(err.splitlines()) == 1
-    game_id = copied.split(",")[column]
-    assert f"games.csv line {len(lines) + 1}" in err and repr(game_id) in err
+    named = ", ".join(f"{field} {record[field]!r}" for field in key)
+    assert err == (
+        f"segforge {stage}: {name} line {len(lines) + 1}: ValueError: {named} repeats line 6"
+    )
+
+
+@pytest.mark.parametrize(
+    "stage, name", [("map", "annotations.jsonl"), ("simulate", "mazes.jsonl")]
+)
+def test_record_count_other_than_the_meta_count_fails_cleanly(
+    workdir, tmp_path, capsys, stage, name
+):
+    config, out = workdir
+    broken = tmp_path / "short"
+    shutil.copytree(out, broken)
+    lines = (out / name).read_text().splitlines()
+    count = json.loads(lines[0])["count"]
+    assert len(lines) == count + 1
+    (broken / name).write_text("\n".join(lines[:-1]) + "\n")
+    assert main([stage, "--config", str(config), "--out", str(broken)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == (
+        f"segforge {stage}: {name}: the meta line gives count {count}, "
+        f"but {count - 1} records follow"
+    )
 
 
 @pytest.mark.parametrize(
@@ -544,7 +594,7 @@ def test_retyped_annotation_fails_cleanly(workdir, tmp_path, capsys, field, valu
 @pytest.mark.parametrize(
     "compound_id, blank, message",
     [
-        (1, False, "compound_id 1 repeats an earlier record"),
+        (1, False, "compound_id 1 repeats line 2"),
         (500, False, "compound_id 500 is not in 1..100"),
         (0, False, "compound_id 0 is not in 1..100"),
         (500, True, "compound_id 500 is not in 1..100"),
@@ -591,6 +641,27 @@ def test_cluster_count_other_than_compound_count_fails_cleanly(workdir, tmp_path
     assert not (run / "library.sqlite").exists()
 
 
+def test_level_with_fewer_games_than_clusters_fails_before_any_search(
+    workdir, tmp_path, capsys, monkeypatch
+):
+    _, out = workdir
+    run = tmp_path / "k400"
+    run.mkdir()
+    shutil.copy(out / "games.csv", run / "games.csv")
+    config = tmp_path / "k400.conf"
+    config.write_text(TEST_CONFIG + "cluster.k = 400\n")
+    searched = []
+    monkeypatch.setattr(cli, "search_threshold", lambda *args, **kwargs: searched.append(1))
+    assert main(["cluster", "--config", str(config), "--out", str(run)]) == 1
+    # 24 mazes hold 360 easy, 480 medium and 360 hard games
+    assert capsys.readouterr().err == (
+        "segforge cluster: cluster.k is 400, but level 'easy' has only 360 games "
+        "in games.csv, fewer than one per cluster\n"
+    )
+    assert searched == []
+    assert not (run / "clusters.csv").exists()
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("fun", "no"), ("fun", None), ("pre_exam", 2), ("pre_exam", "1"), ("post_exam", None)],
@@ -621,7 +692,7 @@ def test_repeated_session_fails_cleanly(workdir, tmp_path, capsys):
     assert main(argv + ["--sessions", str(sessions)]) == 1
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1
-    assert "sessions.jsonl line 7" in err and "second session" in err
+    assert "sessions.jsonl line 7" in err and "repeats line 6" in err
 
 
 @pytest.mark.parametrize("recycle", ["true", "false"])
@@ -948,6 +1019,22 @@ def test_config_that_is_not_utf8_fails_cleanly(tmp_path, capsys):
     assert str(config) in err and "UTF-8" in err
 
 
+def test_config_that_cannot_be_read_fails_cleanly(tmp_path, capsys, monkeypatch):
+    # the reader's open is made to refuse: a root user may read any file
+    config = tmp_path / "locked.conf"
+    config.write_text("maze.count = 24\n")
+
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+
+    monkeypatch.setattr(knowledge, "open", refuse, raising=False)
+    assert main(["annotate", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        f"segforge annotate: cannot read config file {config}: {os.strerror(errno.EACCES)}\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("key", ["knowledge.compounds_path", "knowledge.table_path"])
 @pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
 def test_unreadable_knowledge_file_fails_cleanly(tmp_path, capsys, key, case):
@@ -1073,3 +1160,34 @@ def test_out_that_is_a_file_fails_cleanly(tmp_path, capsys):
     assert len(err.splitlines()) == 1
     assert str(target) in err
     assert target.read_text() == "not a directory\n"
+
+
+def test_every_benchmark_span_is_recorded(tmp_path, monkeypatch):
+    """The benchmark in perfbench/ times each layer by wrapping the name that
+    its caller looks up, in cli or in the layer's own module. A pipeline and
+    a cohort, run as the benchmark runs them, record a span for every one of
+    those names; a renamed name, or one called through another module, would
+    record none."""
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("bench_spans", root / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    # freshly imported, as the benchmark imports them; the modules the other
+    # tests hold are put back afterwards
+    for name in [n for n in sys.modules if n == "segforge" or n.startswith("segforge.")]:
+        monkeypatch.delitem(sys.modules, name)
+    fresh = importlib.import_module("segforge.cli")
+    mods = SimpleNamespace(
+        cli=fresh, clustering=sys.modules["segforge.clustering"], engine=sys.modules["segforge.engine"]
+    )
+    overrides = {"maze.count": "7", "sim.players": "4", "sim.sessions": "10", "stats.min_n": "5"}
+    config = sys.modules["segforge.config"].load_config(None, overrides)
+    tracer = spans.Tracer()
+    tracer.install(mods)
+    try:
+        for stage in fresh.STAGES:
+            getattr(fresh, f"run_{stage.replace('-', '_')}")(config, tmp_path)
+    finally:
+        tracer.uninstall()
+    recorded = {span[spans.NAME] for span in tracer.spans}
+    assert {name for _, _, name, _ in spans.wrap_points(mods)} - recorded == set()
