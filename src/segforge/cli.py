@@ -22,7 +22,6 @@ import os
 import pickle
 import signal
 import sys
-import tempfile
 from dataclasses import dataclass, field, fields
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -73,6 +72,7 @@ from .mapping import (
     export_json,
     export_level_curves,
     load_library,
+    replacing,
     row_decoder,
     save_library,
     text_parser,
@@ -111,18 +111,9 @@ class MalformedArtifact(SegforgeError):
 # ===== Artifact plumbing =====
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+def _atomic_write(path: Path | str, text: str) -> None:
+    with replacing(path) as temp:
+        Path(temp).write_text(text, encoding="utf-8", newline="")
 
 
 def _require(path: Path, artifact: str | None = None) -> None:
@@ -275,7 +266,20 @@ class _WorkspaceLock:
 
     def __enter__(self):
         try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            fd = self._create()
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                    handle.write(f"{os.getpid()}\n")
+            except OSError:
+                os.unlink(self.path)  # this run made it
+                raise
+        except OSError as exc:
+            raise SegforgeError(f"cannot write {self.path}: {exc.strerror}") from None
+        return self
+
+    def _create(self) -> int:
+        try:
+            return os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
             pid = self._dead_holder()
             if pid is None:
@@ -286,12 +290,9 @@ class _WorkspaceLock:
             except FileNotFoundError:
                 pass
             try:
-                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                return os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
             except FileExistsError:  # another run took it over first
                 raise self._locked() from None
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(f"{os.getpid()}\n")
-        return self
 
     def _locked(self) -> WorkspaceLocked:
         return WorkspaceLocked(
@@ -549,7 +550,7 @@ def _load_summaries(out: Path, config_hash: str) -> list[ClusterSummary]:
     return _read_csv(out / "clusters.csv", config_hash, summary, "cluster_id")
 
 
-def run_map(config: PipelineConfig, out: Path, export_plots: bool = False) -> None:
+def run_map(config: PipelineConfig, out: Path) -> None:
     config_hash = config.config_hash()
     decode = row_decoder(fields(CompoundAnnotation))
 
@@ -588,11 +589,10 @@ def run_map(config: PipelineConfig, out: Path, export_plots: bool = False) -> No
     validate_library(library)
     save_library(library, str(out / "library.sqlite"))
     _atomic_write(out / "library.json", export_json(library))
-    if export_plots:
-        n_rows, s_rows = export_level_curves(library)
-        header = ("compound_id", *Difficulty)
-        _atomic_write(out / "mapping_N.csv", _csv_text(config_hash, header, n_rows))
-        _atomic_write(out / "mapping_S.csv", _csv_text(config_hash, header, s_rows))
+    n_rows, s_rows = export_level_curves(library)
+    header = ("compound_id", *Difficulty)
+    _atomic_write(out / "mapping_N.csv", _csv_text(config_hash, header, n_rows))
+    _atomic_write(out / "mapping_S.csv", _csv_text(config_hash, header, s_rows))
     logger.info(
         "deployed %d compounds x %d levels over %d clusters",
         len(compounds),
@@ -773,21 +773,14 @@ class _Stage:
     run: Callable[..., None]
     writes: tuple[str, ...]
     flags: dict[str, tuple[str, dict]] = field(default_factory=dict)
-    in_pipeline: bool = False  # ``segforge pipeline`` takes the flags too
 
 
-_PLOTS_HELP = "also write per-level N and S curve CSVs"
 STAGE_TABLE = {
     "annotate": _Stage(run_annotate, ("annotations.jsonl",)),
     "gen-space": _Stage(run_gen_space, ("mazes.jsonl", "space.csv")),
     "categorize": _Stage(run_categorize, ("games.csv",)),
     "cluster": _Stage(run_cluster, ("clusters.csv", "membership.csv", "threshold_log.csv")),
-    "map": _Stage(
-        run_map,
-        ("library.sqlite", "library.json", "mapping_N.csv", "mapping_S.csv"),
-        {"export_plots": ("--export-plots", {"action": "store_true", "help": _PLOTS_HELP})},
-        in_pipeline=True,
-    ),
+    "map": _Stage(run_map, ("library.sqlite", "library.json", "mapping_N.csv", "mapping_S.csv")),
     "simulate": _Stage(run_simulate, ("sessions.jsonl", "events.jsonl")),
     "analyze": _Stage(
         run_analyze,
@@ -795,7 +788,6 @@ STAGE_TABLE = {
         {"sessions_path": ("--sessions", {"metavar": "PATH", "help": "sessions.jsonl to read"})},
     ),
 }
-STAGES = tuple(STAGE_TABLE)
 _PRODUCERS = {name: stage for stage, entry in STAGE_TABLE.items() for name in entry.writes}
 
 
@@ -806,9 +798,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"segforge {__version__}")
     subparsers = parser.add_subparsers(dest="stage", required=True, metavar="stage")
-    commands = {name: [entry] for name, entry in STAGE_TABLE.items()}
-    commands["pipeline"] = [entry for entry in STAGE_TABLE.values() if entry.in_pipeline]
-    for name, entries in commands.items():
+    commands = {**{name: entry.flags for name, entry in STAGE_TABLE.items()}, "pipeline": {}}
+    for name, flags in commands.items():
         sub = subparsers.add_parser(name, help=f"run the {name} stage")
         sub.add_argument("--config", default=None, help="path to a key=value config file")
         sub.add_argument(
@@ -819,9 +810,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--seed", type=int, default=None, help="override space, cluster and sim seeds"
         )
-        for entry in entries:
-            for keyword, (option, settings) in entry.flags.items():
-                sub.add_argument(option, dest=keyword, **settings)
+        for keyword, (option, settings) in flags.items():
+            sub.add_argument(option, dest=keyword, **settings)
     init = subparsers.add_parser("init-config", help="print a commented default config")
     init.add_argument("--config", default=None, help="write the template to this path")
     return parser
@@ -835,10 +825,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.stage == "init-config":
             text = default_config_text()
             if args.config:
-                try:
-                    _atomic_write(Path(args.config), text)
-                except OSError as exc:
-                    raise SegforgeError(f"cannot write {args.config}: {exc.strerror}") from None
+                _atomic_write(args.config, text)
             else:
                 sys.stdout.write(text)
             return 0

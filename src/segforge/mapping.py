@@ -13,7 +13,7 @@ import logging
 import math
 import os
 import sqlite3
-import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 
@@ -322,18 +322,35 @@ def _select(conn: sqlite3.Connection, cls: type, table: str, order_by: str) -> l
     return [cls(*row) for row in _rows(conn, table, fields(cls), order_by)]
 
 
+@contextmanager
+def replacing(path: str | os.PathLike):
+    """Write ``path`` whole or not at all. The block writes the yielded
+    path, a fresh file next to ``path`` with the mode that a new file gets
+    there; it replaces ``path`` when the block returns and is removed when
+    the block raises. An OSError becomes one line naming ``path``."""
+    directory, name = os.path.split(os.fspath(path))
+    temp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+    try:
+        open(temp, "x").close()
+        try:
+            yield temp
+            os.replace(temp, path)
+        except BaseException:
+            os.unlink(temp)
+            raise
+    except OSError as exc:
+        raise SegforgeError(f"cannot write {os.fspath(path)}: {exc.strerror}") from None
+
+
 def save_library(library: ContentLibrary, path: str) -> None:
     """Write the library as a fresh single-file relational store.
 
     The file is replaced atomically and built with a fixed insert order so
     identical libraries produce byte-identical files.
     """
-    directory = os.path.dirname(os.path.abspath(path))
-    handle, temp_path = tempfile.mkstemp(dir=directory, suffix=".sqlite.tmp")
-    os.close(handle)
-    os.unlink(temp_path)  # sqlite must create the file itself
-    try:
-        conn = sqlite3.connect(temp_path)
+    # sqlite opens the empty file as an empty database
+    with replacing(path) as temp:
+        conn = sqlite3.connect(temp)
         try:
             conn.executescript(_SCHEMA)
             # ContentLibrary keeps every list in canonical order
@@ -356,11 +373,6 @@ def save_library(library: ContentLibrary, path: str) -> None:
             conn.commit()
         finally:
             conn.close()
-        os.replace(temp_path, path)
-    except BaseException:
-        if os.path.exists(temp_path):
-            os.unlink(temp_path)
-        raise
 
 
 def load_library(path: str, expected_config_hash: str | None = None) -> ContentLibrary:

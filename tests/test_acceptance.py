@@ -21,7 +21,7 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-from segforge.cli import main
+from segforge.cli import STAGE_TABLE, main
 from segforge.clustering import CFTree, search_threshold, silhouette
 from segforge.config import load_config
 from segforge.contentspace import (
@@ -51,7 +51,7 @@ STATS = dict(
     significance=CONFIG.stats_significance,
     min_n=CONFIG.stats_min_n,
 )
-STAGES = ("annotate", "gen-space", "categorize", "cluster", "map", "simulate", "analyze")
+STAGES = tuple(STAGE_TABLE)
 
 
 def _ok(number: int, text: str) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import errno
 import gc
 import hashlib
@@ -13,6 +14,7 @@ import os
 import shutil
 import signal
 import sqlite3
+import stat
 import subprocess
 import sys
 import weakref
@@ -24,7 +26,7 @@ from types import SimpleNamespace
 import pytest
 
 from segforge import cli, knowledge
-from segforge.cli import main
+from segforge.cli import STAGE_TABLE, main
 from segforge.clustering import ClusterSummary, NoFeasibleThreshold, ThresholdCandidate
 from segforge.config import load_config
 from segforge.contentspace import (
@@ -66,24 +68,84 @@ def workdir(tmp_path_factory):
 
 def test_pipeline_writes_all_artifacts(workdir):
     _, out = workdir
-    expected = [
-        "annotations.jsonl",
-        "mazes.jsonl",
-        "space.csv",
-        "games.csv",
-        "clusters.csv",
-        "membership.csv",
-        "threshold_log.csv",
-        "library.sqlite",
-        "library.json",
-        "sessions.jsonl",
-        "events.jsonl",
-        "report.txt",
-        "report_numbers.csv",
-    ]
-    for name in expected:
-        assert (out / name).is_file(), name
-    assert not (out / ".segforge.lock").exists()
+    declared = {name for stage in STAGE_TABLE.values() for name in stage.writes}
+    # every declared file, and no lock or temporary file
+    assert {path.name for path in out.iterdir()} == declared
+
+
+def test_artifacts_have_the_mode_of_a_new_file(workdir):
+    _, out = workdir
+    probe = out / "probe"
+    probe.open("w").close()
+    try:
+        expected = stat.S_IMODE(probe.stat().st_mode)
+    finally:
+        probe.unlink()
+    modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in out.iterdir()}
+    assert modes == dict.fromkeys(modes, expected)
+
+
+@pytest.mark.parametrize(
+    "stage, name",
+    [
+        ("categorize", "games.csv"),
+        ("map", "library.sqlite"),
+        ("map", "library.json"),
+        ("simulate", "events.jsonl"),
+    ],
+)
+def test_directory_at_an_output_fails_cleanly(workdir, tmp_path, capsys, stage, name):
+    config, out = workdir
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    (run / name).unlink()
+    (run / name).mkdir()
+    names = sorted(path.name for path in run.iterdir())
+    assert main([stage, "--config", str(config), "--out", str(run)]) == 1
+    assert capsys.readouterr().err == (
+        f"segforge {stage}: cannot write {run / name}: Is a directory\n"
+    )
+    # no temporary file or lock is left, and the directory stays
+    assert sorted(path.name for path in run.iterdir()) == names
+    assert (run / name).is_dir()
+
+
+class _FullDisk:
+    """A lock file handle whose write fails as on a full disk."""
+
+    def __init__(self, fd, *args, **kwargs):
+        os.close(fd)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("fault", ["create", "write"])
+def test_lock_that_cannot_be_written_fails_cleanly(tmp_path, monkeypatch, capsys, fault):
+    lock = tmp_path / ".segforge.lock"
+    real_open = os.open
+
+    def refuse_lock(path, *args, **kwargs):
+        if Path(path) == lock:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+        return real_open(path, *args, **kwargs)
+
+    if fault == "create":
+        monkeypatch.setattr(cli.os, "open", refuse_lock)
+    else:
+        monkeypatch.setattr(cli.os, "fdopen", _FullDisk)
+    assert main(["annotate", "--out", str(tmp_path)]) == 1
+    code = errno.EACCES if fault == "create" else errno.ENOSPC
+    assert capsys.readouterr().err == (
+        f"segforge annotate: cannot write {lock}: {os.strerror(code)}\n"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_annotations_cover_the_dataset(workdir):
@@ -682,19 +744,6 @@ def test_retyped_survey_field_fails_cleanly(workdir, tmp_path, capsys, field, va
     assert "sessions.jsonl line 6" in err and field in err
 
 
-def test_repeated_session_fails_cleanly(workdir, tmp_path, capsys):
-    config, out = workdir
-    lines = (out / "sessions.jsonl").read_text().splitlines()
-    lines.insert(6, lines[5])
-    sessions = tmp_path / "sessions.jsonl"
-    sessions.write_text("\n".join(lines) + "\n")
-    argv = ["analyze", "--config", str(config), "--out", str(tmp_path / "o")]
-    assert main(argv + ["--sessions", str(sessions)]) == 1
-    err = capsys.readouterr().err.strip()
-    assert len(err.splitlines()) == 1
-    assert "sessions.jsonl line 7" in err and "repeats line 6" in err
-
-
 @pytest.mark.parametrize("recycle", ["true", "false"])
 def test_simulate_logs_recycles_and_exhausted_pools(workdir, tmp_path, caplog, recycle):
     _, out = workdir
@@ -969,12 +1018,12 @@ def test_missing_sessions_override_names_simulate(workdir, tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["annotate", "--export-plots"],
+        ["map", "--sessions", "x"],
         ["cluster", "--sessions", "x"],
         ["simulate", "--recycle"],
         ["pipeline", "--sessions", "x"],
     ],
-    ids=["annotate-export-plots", "cluster-sessions", "simulate-recycle", "pipeline-sessions"],
+    ids=["map-sessions", "cluster-sessions", "simulate-recycle", "pipeline-sessions"],
 )
 def test_flag_of_another_stage_is_a_usage_error(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -1110,9 +1159,8 @@ def test_stage_warns_on_config_drift(tmp_path, caplog):
     assert any("different configuration" in r.message for r in caplog.records)
 
 
-def test_export_plots_writes_level_curves(workdir):
-    config, out = workdir
-    assert main(["map", "--config", str(config), "--out", str(out), "--export-plots"]) == 0
+def test_map_writes_level_curves(workdir):
+    _, out = workdir
     for name in ("mapping_N.csv", "mapping_S.csv"):
         text = (out / name).read_text()
         assert text.startswith("# config_hash=")
@@ -1185,9 +1233,35 @@ def test_every_benchmark_span_is_recorded(tmp_path, monkeypatch):
     tracer = spans.Tracer()
     tracer.install(mods)
     try:
-        for stage in fresh.STAGES:
+        for stage in fresh.STAGE_TABLE:
             getattr(fresh, f"run_{stage.replace('-', '_')}")(config, tmp_path)
     finally:
         tracer.uninstall()
     recorded = {span[spans.NAME] for span in tracer.spans}
     assert {name for _, _, name, _ in spans.wrap_points(mods)} - recorded == set()
+
+
+def _assigned_literals(path: Path, *names: str) -> dict:
+    """The values of the module-level assignments to ``names`` in the Python
+    file at ``path``, read without importing it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {
+        target.id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id in names
+    }
+
+
+def test_benchmark_runs_the_stage_table_and_checks_declared_files():
+    """perfbench/ names the stages it runs and the files it checks by hand;
+    importing its run.py would set its thread variables."""
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    stages = _assigned_literals(bench / "run.py", "BUILD_STAGES", "COHORT_STAGES")
+    checked = _assigned_literals(bench / "checks.py", "BUILD_ARTIFACTS", "COHORT_ARTIFACTS")
+    assert stages["BUILD_STAGES"] + stages["COHORT_STAGES"] == tuple(STAGE_TABLE)
+    for part in ("BUILD", "COHORT"):
+        runs = stages[f"{part}_STAGES"]
+        written = {name for stage in runs for name in STAGE_TABLE[stage].writes}
+        assert set(checked[f"{part}_ARTIFACTS"]) <= written, part

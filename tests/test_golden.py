@@ -1,6 +1,6 @@
 """Golden digests: the bytes of every artifact of a reduced pipeline run.
 
-``segforge pipeline --export-plots`` runs at ``maze.count = 54`` with every
+``segforge pipeline`` runs at ``maze.count = 54`` with every
 other setting at its default (greedy bots, 10 players x 25 sessions). Each
 file of the run directory must hash to the digest recorded here. A random
 cohort of 40 players x 25 sessions then plays the same library and maze
@@ -56,7 +56,7 @@ def golden_run(tmp_path_factory):
     config = root / "golden.conf"
     config.write_text(GOLDEN_CONFIG)
     out = root / "out"
-    argv = ["pipeline", "--export-plots", "--config", str(config), "--out", str(out)]
+    argv = ["pipeline", "--config", str(config), "--out", str(out)]
     assert main(argv) == 0
     return out
 
