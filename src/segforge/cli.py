@@ -279,7 +279,7 @@ class _WorkspaceLock:
 
     def _create(self) -> int:
         try:
-            return os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            return os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
         except FileExistsError:
             pid = self._dead_holder()
             if pid is None:
@@ -290,7 +290,7 @@ class _WorkspaceLock:
             except FileNotFoundError:
                 pass
             try:
-                return os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                return os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
             except FileExistsError:  # another run took it over first
                 raise self._locked() from None
 
@@ -719,12 +719,14 @@ def run_simulate(config: PipelineConfig, out: Path) -> None:
     _write_jsonl(out / "events.jsonl", base_meta, event_lines)
     logger.info(
         "simulated %d sessions (%d victories) for %d players; recycled: %s; "
-        "pools exhausted: %s",
+        "pools exhausted: %s; routing tables built for %d of %d library mazes",
         len(session_lines),
         victories,
         config.sim_players,
         _per_level(recycled),
         _per_level(exhausted),
+        len(trees),
+        len(games_on),
     )
 
 

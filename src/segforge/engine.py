@@ -228,10 +228,19 @@ class MazeTree:
     ``path_cells`` lists the path cells in row order, ``adjacent`` maps each
     to its path neighbours, and ``wander`` maps each to its path neighbours
     followed by the cell itself, the steps a wandering enemy draws from.
-    ``lineage`` maps each cell to its ancestors in the spanning tree rooted
-    at the first cell, root first and the cell itself last. ``cells`` is the
-    maze's grid, for line of sight. Every cell in the tables is the same
-    tuple object as in ``path_cells``.
+    ``node`` and ``span_min`` come from one Euler tour of the spanning tree
+    rooted at the first cell, which lists a cell on entering it and again on
+    coming back to it from each child. ``node`` maps each cell to its depth,
+    the tour indices where it is first and last listed, and its parent
+    (None for the root); a cell's descendants are the cells first listed
+    between its two indices. ``span_min`` is a sparse table of the minimum
+    depth over the tour: for a span of ``d`` indices after a start ``i``,
+    ``span_min[d]`` is ``(row, w)`` with ``w + 1`` the largest power of two
+    at most ``d + 1`` and ``row[j]`` the least depth over indices ``j`` to
+    ``j + w``, so the least depth from ``i`` to ``i + d`` is the smaller of
+    ``row[i]`` and ``row[i + d - w]``. ``cells`` is the maze's grid, for
+    line of sight. Every cell in the tables is the same tuple object as in
+    ``path_cells``.
     """
 
     maze_id: str
@@ -239,7 +248,8 @@ class MazeTree:
     path_cells: tuple[tuple[int, int], ...]
     adjacent: dict[tuple[int, int], tuple[tuple[int, int], ...]]
     wander: dict[tuple[int, int], tuple[tuple[int, int], ...]]
-    lineage: dict[tuple[int, int], tuple[tuple[int, int], ...]]
+    node: dict[tuple[int, int], tuple[int, int, int, tuple[int, int] | None]]
+    span_min: tuple[tuple[tuple[int, ...], int], ...]
 
 
 def perfect_maze(
@@ -295,16 +305,35 @@ def maze_tree(grid: MazeGrid) -> MazeTree:
     path_cells, adjacent = perfect_maze(grid)
     wander = {cell: around + (cell,) for cell, around in adjacent.items()}
     root = path_cells[0]
-    lineage = {root: (root,)}
-    stack = [root]
+    tour = [0]  # the depth at each tour index
+    node = {}
+    # (cell, its depth, its first tour index, its parent, its neighbours
+    # not yet looked at)
+    stack = [(root, 0, 0, None, iter(adjacent[root]))]
     while stack:
-        cell = stack.pop()
-        line = lineage[cell]
-        for neighbor in adjacent[cell]:
-            if neighbor not in lineage:
-                lineage[neighbor] = line + (neighbor,)
-                stack.append(neighbor)
-    return MazeTree(grid.maze_id, grid.cells, path_cells, adjacent, wander, lineage)
+        cell, depth, first, parent, around = stack[-1]
+        for neighbor in around:
+            # the cells form a tree, so only the parent was seen before
+            if neighbor is not parent:
+                stack.append((neighbor, depth + 1, len(tour), cell, iter(adjacent[neighbor])))
+                tour.append(depth + 1)
+                break
+        else:
+            stack.pop()
+            node[cell] = (depth, first, len(tour) - 1, parent)
+            if stack:
+                tour.append(depth - 1)
+    # the least depth over 2 (w + 1) indices is the lesser over its halves
+    levels = [(tuple(tour), 0)]
+    while 2 * (levels[-1][1] + 1) <= len(tour):
+        row, w = levels[-1]
+        halves = zip(row[: -w - 1], row[w + 1 :])
+        levels.append((tuple([x if x < y else y for x, y in halves]), 2 * w + 1))
+    span_min = []
+    for level in levels:
+        span_min += [level] * (level[1] + 1)
+    span_min = tuple(span_min[: len(tour)])
+    return MazeTree(grid.maze_id, grid.cells, path_cells, adjacent, wander, node, span_min)
 
 
 def practice_tree() -> MazeTree:
@@ -312,19 +341,6 @@ def practice_tree() -> MazeTree:
     return maze_tree(
         generate_maze(PRACTICE_MAZE_SEED, PRACTICE_MAZE_WIDTH, PRACTICE_MAZE_HEIGHT, "practice")
     )
-
-
-def _shared_prefix(a: tuple, b: tuple) -> int:
-    """The length of the prefix two lineages share. Both start at the root,
-    and once they part they never meet again, so a binary search finds it."""
-    lo, hi = 1, min(len(a), len(b))
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if a[mid - 1] is b[mid - 1]:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
 
 
 class _Arena:
@@ -336,7 +352,8 @@ class _Arena:
         self.path_cells = tree.path_cells
         self.adjacent = tree.adjacent
         self.wander = tree.wander
-        self.lineage = tree.lineage
+        self.node = tree.node
+        self.span_min = tree.span_min
         self.start = self.path_cells[0]
         self.exit = self.path_cells[-1]
         self.avatar = self.start
@@ -352,20 +369,61 @@ class _Arena:
         self.good_atoms = set(picks[:GOOD_ATOMS_ON_FIELD])
         self.bad_atoms = set(picks[GOOD_ATOMS_ON_FIELD:])
 
-    def path(
-        self, source: tuple[int, int], target: tuple[int, int]
-    ) -> tuple[tuple[int, int], ...]:
-        """The unique path from ``source`` to ``target``, both included: up
-        ``source``'s lineage to the last ancestor the two share, then down
-        ``target``'s."""
-        up, down = self.lineage[source], self.lineage[target]
-        shared = _shared_prefix(up, down)
-        return up[shared - 1 :][::-1] + down[shared:]
-
     def distance(self, source: tuple[int, int], target: tuple[int, int]) -> int:
-        """The number of steps on the path from ``source`` to ``target``."""
-        up, down = self.lineage[source], self.lineage[target]
-        return len(up) + len(down) - 2 * _shared_prefix(up, down)
+        """The number of steps on the path from ``source`` to ``target``: the
+        two depths less twice the depth of the last ancestor they share,
+        which is the least depth the tour passes between the two cells."""
+        node = self.node
+        depth_a, at_a, _, _ = node[source]
+        depth_b, at_b, _, _ = node[target]
+        if at_a > at_b:
+            at_a, at_b = at_b, at_a
+        row, w = self.span_min[at_b - at_a]
+        x, y = row[at_a], row[at_b - w]
+        return depth_a + depth_b - 2 * (x if x < y else y)
+
+    def step(self, source: tuple[int, int], target: tuple[int, int]) -> tuple[int, int]:
+        """The cell after ``source`` on the path to ``target``, another cell:
+        the child whose subtree holds ``target``, else the parent."""
+        node = self.node
+        _, first, last, parent = node[source]
+        at = node[target][1]
+        if first < at <= last:
+            for child in self.adjacent[source]:
+                _, child_first, child_last, _ = node[child]
+                if first < child_first <= at <= child_last:
+                    return child
+        return parent
+
+    def crosses(
+        self,
+        cells: set[tuple[int, int]] | list[tuple[int, int]],
+        source: tuple[int, int],
+        target: tuple[int, int],
+    ) -> bool:
+        """Whether any of ``cells`` lies on the path from ``source`` to
+        ``target``, ``source`` left out and ``target`` counted.
+
+        The path climbs from ``source`` to the last ancestor the two ends
+        share, then descends to ``target``. So a cell whose subtree holds
+        ``source`` is on it when it is no shallower than that ancestor, and
+        any other cell is on it when its subtree holds ``target``.
+        """
+        node = self.node
+        at_a = node[source][1]
+        at_b = node[target][1]
+        lo, hi = (at_a, at_b) if at_a < at_b else (at_b, at_a)
+        row, w = self.span_min[hi - lo]
+        x, y = row[lo], row[hi - w]
+        meet = x if x < y else y
+        for cell in cells:
+            depth, first, last, _ = node[cell]
+            if first <= at_a <= last:
+                if depth >= meet and cell != source:
+                    return True
+            elif first <= at_b <= last:
+                return True
+        return False
 
     def respawn_atom(self, good: bool) -> None:
         occupied = self.good_atoms | self.bad_atoms | {self.avatar, self.start, self.exit}
@@ -511,34 +569,32 @@ def _greedy_turn(arena: _Arena, tally: dict, events: list[SimEvent], tick: int) 
     if arena.ammo > 0 and arena.visible_enemies():
         _avatar_shoot(arena, tally, events, tick)
         return False
+    avatar = arena.avatar
     if arena.collected >= COLLECTION_TARGET:
-        route = arena.path(arena.avatar, arena.exit)
+        target = arena.exit
     else:
         # nearest correct atom, preferring ones whose corridor is free of
         # wrong atoms and enemies (crossing either costs a life), then ones
         # free of enemies, then the nearest; ties go to the lower cell
-        avatar = arena.avatar
-        enemies = set(arena.enemies)
-        hazards = enemies | arena.bad_atoms
-        ranked = sorted((arena.distance(avatar, atom), atom) for atom in arena.good_atoms)
-        paths = []
-        for _, atom in ranked:
-            path = arena.path(avatar, atom)
-            if hazards.isdisjoint(path[1:]):
-                route = path
+        enemies = arena.enemies
+        hazards = arena.bad_atoms.union(enemies)
+        distance = arena.distance
+        crosses = arena.crosses
+        ranked = sorted([(distance(avatar, atom), atom) for atom in arena.good_atoms])
+        for _, target in ranked:
+            if not crosses(hazards, avatar, target):
                 break
-            paths.append(path)
         else:
-            route = next(
-                (path for path in paths if enemies.isdisjoint(path[1:])),
-                paths[0] if paths else None,
+            target = next(
+                (atom for _, atom in ranked if not crosses(enemies, avatar, atom)),
+                ranked[0][1] if ranked else None,
             )
     # no atom left, or the bot already stands on its target
-    if route is None or len(route) == 1:
+    if target is None or target == avatar:
         _flee_step(arena)
         return False
-    target = route[-1]
-    for nxt in route[1 : AVATAR_SPEED + 1]:
+    for _ in range(AVATAR_SPEED):
+        nxt = arena.step(arena.avatar, target)
         if nxt in arena.enemies:
             _flee_step(arena)
             return False
@@ -557,9 +613,10 @@ def _enemy_turn(arena: _Arena, tally: dict, events: list[SimEvent], tick: int) -
     moved: list[tuple[int, int]] = []
     if arena.enemy_type == 1:
         # a chaser steps along its path to the avatar, or stays on it
+        avatar = arena.avatar
+        step = arena.step
         for cell in arena.enemies:
-            route = arena.path(cell, arena.avatar)
-            moved.append(route[1] if len(route) > 1 else cell)
+            moved.append(cell if cell == avatar else step(cell, avatar))
     else:
         wander = arena.wander
         getrandbits = arena.rng.getrandbits

@@ -148,6 +148,24 @@ def test_lock_that_cannot_be_written_fails_cleanly(tmp_path, monkeypatch, capsys
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("holder", ["none", "dead"])
+def test_lock_file_has_the_mode_of_a_new_file(tmp_path, holder):
+    lock = tmp_path / ".segforge.lock"
+    if holder == "dead":
+        # a lock naming a reaped pid is taken over with a fresh file
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()
+        lock.write_text(f"{child.pid}\n")
+        lock.chmod(0o600)  # a lock file kept rather than made anew would show it
+    probe = tmp_path / "probe"
+    probe.open("w").close()
+    expected = stat.S_IMODE(probe.stat().st_mode)
+    with cli._WorkspaceLock(tmp_path):
+        mode = stat.S_IMODE(lock.stat().st_mode)
+    assert not mode & 0o111
+    assert mode == expected
+
+
 def test_annotations_cover_the_dataset(workdir):
     _, out = workdir
     lines = (out / "annotations.jsonl").read_text().strip().splitlines()

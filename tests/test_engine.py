@@ -421,7 +421,8 @@ def _tables(tree: MazeTree) -> tuple:
         tree.path_cells,
         list(tree.adjacent.items()),
         list(tree.wander.items()),
-        list(tree.lineage.items()),
+        list(tree.node.items()),
+        tree.span_min,
     )
 
 
@@ -495,17 +496,43 @@ def test_bot_rejects_a_maze_that_is_not_a_tree(grid):
 
 def test_maze_tree_spans_every_path_cell(small_grid):
     tree = maze_tree(small_grid)
-    path_cells, adjacent, lineage = tree.path_cells, tree.adjacent, tree.lineage
+    path_cells, adjacent, node = tree.path_cells, tree.adjacent, tree.node
     assert tree.maze_id == small_grid.maze_id and tree.cells is small_grid.cells
     assert list(path_cells) == sorted(path_cells, key=lambda c: (c[1], c[0]))
-    assert set(adjacent) == set(lineage) == set(path_cells)
+    assert set(adjacent) == set(node) == set(path_cells)
     assert tree.wander == {cell: around + (cell,) for cell, around in adjacent.items()}
     root = path_cells[0]
-    for cell, line in lineage.items():
-        assert line[0] is root and line[-1] is cell
-        assert len(set(line)) == len(line)
-        for up, down in zip(line, line[1:]):
-            assert down in adjacent[up]
+    assert node[root][0] == 0 and node[root][3] is None
+    for cell, (depth, _, _, parent) in node.items():
+        if cell is not root:
+            # each parent is a neighbour one level shallower
+            assert parent in adjacent[cell] and node[parent][0] == depth - 1
+    ancestors = {}
+    for cell in path_cells:
+        line, up = {cell}, node[cell][3]
+        while up is not None:
+            line.add(up)
+            up = node[up][3]
+        ancestors[cell] = line
+    # a cell's tour interval holds another's exactly when the parent links
+    # lead from the other to it; two intervals otherwise do not meet
+    for outer in path_cells:
+        _, first, last, _ = node[outer]
+        for inner in path_cells:
+            _, inner_first, inner_last, _ = node[inner]
+            inside = first <= inner_first and inner_last <= last
+            assert inside == (outer in ancestors[inner])
+            if not inside and inner not in ancestors[outer]:
+                assert inner_last < first or last < inner_first
+    # the tour lists a cell once on entering it and once more per child
+    tour = tree.span_min[0][0]
+    assert len(tour) == 2 * len(path_cells) - 1
+    for depth, first, last, _ in node.values():
+        assert tour[first] == tour[last] == depth
+    for d, (row, w) in enumerate(tree.span_min):
+        assert (w + 1) <= d + 1 < 2 * (w + 1)
+        for i in range(len(tour) - d):
+            assert min(tour[i : i + d + 1]) == min(row[i], row[i + d - w])
     for (x, y), neighbors in adjacent.items():
         order = [(x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)]
         assert list(neighbors) == [c for c in order if c in adjacent]
@@ -514,14 +541,15 @@ def test_maze_tree_spans_every_path_cell(small_grid):
     assert len(canonical) == len(path_cells)
     assert {id(c) for neighbors in adjacent.values() for c in neighbors} <= canonical
     assert {id(c) for steps in tree.wander.values() for c in steps} <= canonical
-    assert {id(c) for c in (*adjacent, *tree.wander, *lineage)} <= canonical
-    assert {id(c) for line in lineage.values() for c in line} <= canonical
+    assert {id(c) for c in (*adjacent, *tree.wander, *node)} <= canonical
+    assert {id(entry[3]) for cell, entry in node.items() if cell is not root} <= canonical
 
 
 def _climbing_path(tree: MazeTree, source, target) -> list:
-    """The routing the lineage tables replaced, kept as an oracle: root the
-    tree at the first path cell with parent and depth maps, then climb from
-    both ends until they meet."""
+    """The unique path between two cells, both included, built the plain
+    way as an oracle for the Euler-tour queries: root the tree at the first
+    path cell with parent and depth maps, then climb from both ends until
+    they meet."""
     root = tree.path_cells[0]
     parent, depth = {}, {root: 0}
     stack = [root]
@@ -557,9 +585,10 @@ def _climbing_path(tree: MazeTree, source, target) -> list:
     width=st.integers(2, 15).map(lambda n: 2 * n + 1),
     height=st.integers(2, 15).map(lambda n: 2 * n + 1),
     kind=st.sampled_from(["any", "same", "ancestor", "root"]),
+    holds=st.sampled_from(["source", "target", "neither"]),
     data=st.data(),
 )
-def test_lineage_routes_match_the_climbing_oracle(maze_seed, width, height, kind, data):
+def test_tour_queries_match_the_climbing_oracle(maze_seed, width, height, kind, holds, data):
     tree = maze_tree(generate_maze(maze_seed, width, height, f"m{maze_seed}"))
     arena = _Arena(tree, GameParams("g", tree.maze_id, 0, 0, 0), random.Random(0))
     cells = tree.path_cells
@@ -569,15 +598,27 @@ def test_lineage_routes_match_the_climbing_oracle(maze_seed, width, height, kind
     elif kind == "same":
         b = a
     elif kind == "ancestor":
-        b = data.draw(st.sampled_from(tree.lineage[a]))
+        b = data.draw(st.sampled_from(_climbing_path(tree, a, cells[0])))
     else:
         b = cells[0]
     a, b = data.draw(st.permutations([a, b]))
-    path = arena.path(a, b)
-    assert list(path) == _climbing_path(tree, a, b)
-    assert arena.distance(a, b) == len(path) - 1
-    assert arena.path(b, a) == path[::-1]
-    assert arena.distance(b, a) == arena.distance(a, b)
+    path = _climbing_path(tree, a, b)
+    assert arena.distance(a, b) == arena.distance(b, a) == len(path) - 1
+    if a != b:
+        assert arena.step(a, b) is path[1]
+        assert arena.step(b, a) is path[-2]
+    others = data.draw(st.sets(st.sampled_from(cells), max_size=6))
+    if holds == "source":
+        others.add(a)
+    elif holds == "target":
+        others.add(b)
+    else:
+        others -= {a, b}
+    # the source is left out of the path and the target counted
+    on_path = not others.isdisjoint(path[1:])
+    assert arena.crosses(others, a, b) == on_path
+    assert arena.crosses(list(others), a, b) == on_path
+    assert arena.crosses(others, b, a) == (not others.isdisjoint(path[:-1]))
 
 
 # ===== Practice sessions =====

@@ -13,12 +13,15 @@ from __future__ import annotations
 
 import errno
 import hashlib
+import json
+import logging
 import os
 import shutil
 
 import pytest
 
 from segforge.cli import STAGE_TABLE, main
+from segforge.mapping import load_library
 
 GOLDEN_CONFIG = "maze.count = 54\n"
 
@@ -125,3 +128,21 @@ def test_cluster_bytes_do_not_depend_on_the_process_count(golden_run, tmp_path, 
 def test_stage_table_declares_each_golden_file_once():
     declared = [name for stage in STAGE_TABLE.values() for name in stage.writes]
     assert sorted(declared) == sorted(GOLDEN_SHA256)
+
+
+def test_simulate_counts_the_mazes_it_built_tables_for(golden_run, tmp_path, caplog):
+    """simulate's closing line counts the mazes it built routing tables for,
+    which are the mazes of the games played, out of the library's mazes."""
+    config = tmp_path / "golden.conf"
+    config.write_text(GOLDEN_CONFIG)
+    for name in ("library.sqlite", "mazes.jsonl"):
+        shutil.copyfile(golden_run / name, tmp_path / name)
+    with caplog.at_level(logging.INFO, logger="segforge.cli"):
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "sessions.jsonl").read_bytes() == (golden_run / "sessions.jsonl").read_bytes()
+    library = load_library(str(tmp_path / "library.sqlite"))
+    maze_of = {game.game_id: game.maze_id for game in library.games}
+    lines = (tmp_path / "sessions.jsonl").read_text().splitlines()[1:]
+    played = {maze_of[json.loads(line)["game_id"]] for line in lines}
+    expected = f"routing tables built for {len(played)} of {len(set(maze_of.values()))} library mazes"
+    assert any(message.endswith(expected) for message in caplog.messages), caplog.messages
