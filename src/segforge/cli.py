@@ -5,9 +5,13 @@ Stages write their artifacts into a working directory (``--out``, or the
 from the same place. Every artifact embeds the effective config hash so a
 stage can warn when its inputs were produced under different settings.
 
-``STAGE_TABLE`` declares the stages in pipeline order, each with its
-``run_*`` function, the files it writes and its own flags; the subcommands,
-dispatch and the stage a missing input names derive from it.
+``ARTIFACTS`` declares each file once: the stage that writes it, its format,
+a CSV file's columns, the fields that key its records and the record a stage
+reads from it. ``STAGE_TABLE`` declares the stages in pipeline order, each
+with its ``run_*`` function, the files it reads and its own flags; the
+subcommands, dispatch and each stage's files derive from the two. A stage
+reads an input with one call by name, ``_read``, and writes a CSV or JSONL
+file with ``_write_csv`` or ``_write_jsonl``.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import os
 import pickle
 import signal
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields, replace
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable
@@ -81,20 +85,6 @@ from .mapping import (
 
 logger = logging.getLogger(__name__)
 
-GAME_COLUMNS = tuple(f.name for f in fields(GameRecord))
-SPACE_COLUMNS = tuple(c for c in GAME_COLUMNS if c != "difficulty")
-# clusters.csv: the ClusterSummary fields, the centroid spread over one
-# column per feature and the members left to membership.csv
-CENTROID_COLUMNS = tuple(f"c{i}" for i in range(len(FEATURE_NAMES)))
-_SUMMARY_SCALARS = [
-    f for f in fields(ClusterSummary) if f.name not in ("centroid", "member_game_ids")
-]
-CLUSTER_COLUMNS = tuple(f.name for f in _SUMMARY_SCALARS) + CENTROID_COLUMNS
-_summary_values = attrgetter(*(f.name for f in _SUMMARY_SCALARS))
-_CANDIDATE_COLUMNS = tuple(f.name for f in fields(ThresholdCandidate))
-_candidate_values = attrgetter(*_CANDIDATE_COLUMNS)
-THRESHOLD_LOG_COLUMNS = ("difficulty",) + _CANDIDATE_COLUMNS + ("selected",)
-
 
 class MissingPrerequisite(SegforgeError):
     """A stage was invoked before the stage that produces its inputs."""
@@ -111,17 +101,39 @@ class MalformedArtifact(SegforgeError):
 # ===== Artifact plumbing =====
 
 
+@dataclass(frozen=True)
+class _Artifact:
+    """The stage that writes an artifact, its format (csv, jsonl, sqlite or
+    text), a CSV file's columns, the fields that key each record and what a
+    stage reads of a CSV row (a column -> text dict) or a JSONL record."""
+
+    producer: str
+    format: str
+    columns: tuple[str, ...] = ()
+    key: tuple[str, ...] = ()
+    record: Callable[[dict], object] = lambda record: record
+
+
 def _atomic_write(path: Path | str, text: str) -> None:
     with replacing(path) as temp:
         Path(temp).write_text(text, encoding="utf-8", newline="")
 
 
-def _require(path: Path, artifact: str | None = None) -> None:
+def _read(out: Path, name: str, config_hash: str, path: Path | None = None):
+    """The records of artifact ``name`` in ``out``, or at ``path`` instead,
+    as its declaration reads them; a missing file names the stage that
+    writes it, and a configuration hash other than ``config_hash`` warns."""
+    artifact = ARTIFACTS[name]
+    path = path or out / name
     if not path.is_file():
-        producer = _PRODUCERS[artifact or path.name]
         raise MissingPrerequisite(
-            f"{path.name} not found in {path.parent}; run the {producer!r} stage first"
+            f"{path.name} not found in {path.parent}; run the {artifact.producer!r} stage first"
         )
+    if artifact.format == "sqlite":
+        return load_library(str(path), expected_config_hash=config_hash)
+    if artifact.format == "csv":
+        return _read_csv(path, config_hash, artifact)
+    return _read_jsonl(path, config_hash, artifact, Path(name).stem)
 
 
 def _check_hash(found: str | None, expected: str, path: Path) -> None:
@@ -134,13 +146,15 @@ def _check_hash(found: str | None, expected: str, path: Path) -> None:
         )
 
 
-def _csv_text(config_hash: str, header: tuple[str, ...], rows) -> str:
+def _write_csv(out: Path, name: str, config_hash: str, rows) -> None:
+    """CSV artifact ``name``: the config hash line, the declared columns,
+    then ``rows``, each a sequence of values in column order."""
     buf = io.StringIO()
     buf.write(f"# config_hash={config_hash}\n")
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    writer.writerow(ARTIFACTS[name].columns)
     writer.writerows(rows)
-    return buf.getvalue()
+    _atomic_write(out / name, buf.getvalue())
 
 
 def _malformed(path: Path, line: int, exc: Exception) -> MalformedArtifact:
@@ -157,11 +171,10 @@ def _check_key(key: tuple[str, ...], record: dict, number: int, first_lines: dic
         raise ValueError(f"{named} repeats line {first}")
 
 
-def _read_csv(path: Path, config_hash: str, convert, *key: str) -> list:
-    """``convert`` applied to each data row of a stage CSV, passed as a
-    column -> text dict; a line that does not decode or convert, or repeats
-    an earlier row's ``key`` columns, names its number."""
-    _require(path)
+def _read_csv(path: Path, config_hash: str, artifact: _Artifact) -> list:
+    """The records of a stage CSV whose header is ``artifact``'s columns; a
+    line that does not decode or convert, or repeats an earlier row's key,
+    names its number, and so does a header other than the declared one."""
     found = None
     numbers: list[int] = []
     body: list[str] = []
@@ -180,39 +193,32 @@ def _read_csv(path: Path, config_hash: str, convert, *key: str) -> list:
         _check_hash(found, config_hash, path)
         rows = csv.reader(body)
         header = next(rows, [])
+        number = numbers[0] if numbers else number + 1
+        if header != list(artifact.columns):
+            raise ValueError(f"the header is not {','.join(artifact.columns)}")
         for number, values in zip(numbers[1:], rows):
             if len(values) != len(header):
                 raise ValueError(f"{len(values)} fields under a {len(header)}-column header")
             row = dict(zip(header, values))
-            records.append(convert(row))
-            _check_key(key, row, number, first_lines)
+            records.append(artifact.record(row))
+            _check_key(artifact.key, row, number, first_lines)
     except (KeyError, TypeError, ValueError) as exc:
         raise _malformed(path, number, exc) from None
     return records
 
 
-def _row_parser(cls: type):
-    """Build a ``cls`` record from a CSV row, parsing each field by its type."""
-    parsers = [(f.name, text_parser(f.type)) for f in fields(cls)]
-    return lambda row: cls(*[parse(row[name]) for name, parse in parsers])
+def _write_jsonl(out: Path, name: str, config_hash: str, lines: list[str], **meta) -> None:
+    """JSONL artifact ``name``: a meta line tagged with the file's stem, the
+    config hash and ``meta``, then ``lines``."""
+    head = json.dumps({"artifact": Path(name).stem, "config_hash": config_hash, **meta})
+    _atomic_write(out / name, "\n".join([head] + lines) + "\n")
 
 
-def _write_jsonl(path: Path, meta: dict, lines: list[str]) -> None:
-    """A meta line tagged with the file's stem, then ``lines``."""
-    head = json.dumps({"artifact": path.stem, **meta}, sort_keys=False)
-    _atomic_write(path, "\n".join([head] + lines) + "\n")
-
-
-def _read_jsonl(
-    path: Path, config_hash: str, convert, *key: str, artifact: str | None = None
-) -> tuple[dict, list]:
-    """The meta line and the records of a stage JSONL file, ``convert``
-    applied to each record; a line that does not parse, or repeats an
-    earlier record's ``key`` fields, names its number. Line 1 must be the
-    meta line of ``artifact`` (by default ``path``'s file), and its
-    ``count``, where it has one, the number of records."""
-    _require(path, artifact)
-    tag = Path(artifact or path.name).stem
+def _read_jsonl(path: Path, config_hash: str, artifact: _Artifact, tag: str) -> list:
+    """The records of a stage JSONL file; a line that does not parse, or
+    repeats an earlier record's key, names its number. Line 1 must be the
+    meta line of a ``tag`` file, and its ``count``, where it has one, the
+    number of records."""
     records: list = []
     meta: dict = {}
     first_lines: dict[tuple, int] = {}
@@ -232,8 +238,8 @@ def _read_jsonl(
                         raise ValueError(f"not the meta line of a {tag!r} file")
                     meta = data
                 else:
-                    records.append(convert(data))
-                    _check_key(key, data, number, first_lines)
+                    records.append(artifact.record(data))
+                    _check_key(artifact.key, data, number, first_lines)
         except (KeyError, TypeError, ValueError) as exc:
             raise _malformed(path, number, exc) from None
     if number == 0:
@@ -244,13 +250,13 @@ def _read_jsonl(
             f"{path.name}: the meta line gives count {count!r}, but {len(records)} records follow"
         )
     _check_hash(meta.get("config_hash"), config_hash, path)
-    return meta, records
+    return records
 
 
 def _record_line(path: Path, index: int) -> int:
     """The line number of record ``index`` (from 0) of a JSONL file that
-    ``_read_jsonl`` has read, counted as it counts them: line 1 is the meta
-    line and a blank line holds no record."""
+    ``_read`` has read, counted as it counts them: line 1 is the meta line
+    and a blank line holds no record."""
     with path.open("rb") as handle:
         numbers = [n for n, raw in enumerate(handle, 1) if n > 1 and raw.decode("utf-8").strip()]
     return numbers[index]
@@ -327,8 +333,8 @@ def run_annotate(config: PipelineConfig, out: Path) -> None:
     annotations = annotate_dataset(
         config.compounds_path or None, config.table_path or None
     )
-    meta = {"config_hash": config.config_hash(), "count": len(annotations)}
-    _write_jsonl(out / "annotations.jsonl", meta, [json.dumps(vars(a)) for a in annotations])
+    lines = [json.dumps(vars(a)) for a in annotations]
+    _write_jsonl(out, "annotations.jsonl", config.config_hash(), lines, count=len(annotations))
     logger.info("annotated %d compounds", len(annotations))
 
 
@@ -340,38 +346,26 @@ def run_gen_space(config: PipelineConfig, out: Path) -> None:
     games = enumerate_space(mazes)
     config_hash = config.config_hash()
 
-    meta = {
-        "config_hash": config_hash,
-        "count": len(mazes),
-        "width": config.maze_width,
-        "height": config.maze_height,
-    }
     records = [maze_record_json(m, features[m.maze_id]) for m in mazes]
-    _write_jsonl(out / "mazes.jsonl", meta, records)
+    meta = {"count": len(mazes), "width": config.maze_width, "height": config.maze_height}
+    _write_jsonl(out, "mazes.jsonl", config_hash, records, **meta)
 
-    rows = []
-    for game in games:
-        values = {**vars(features[game.maze_id]), **vars(game)}
-        rows.append([values[c] for c in SPACE_COLUMNS])
-    _atomic_write(out / "space.csv", _csv_text(config_hash, SPACE_COLUMNS, rows))
+    row = itemgetter(*ARTIFACTS["space.csv"].columns)
+    rows = [row({**vars(features[game.maze_id]), **vars(game)}) for game in games]
+    _write_csv(out, "space.csv", config_hash, rows)
     logger.info("generated %d mazes and %d game variants", len(mazes), len(games))
 
 
 def run_categorize(config: PipelineConfig, out: Path) -> None:
     config_hash = config.config_hash()
     params = _row_parser(GameParams)
-    game = _row_parser(GameRecord)
-
-    def categorized(row: dict[str, str]) -> list[str]:
+    # games.csv keeps each value's text as space.csv holds it
+    rows = _read(out, "space.csv", config_hash)
+    for row in rows:
         row["difficulty"] = classify_difficulty(params(row))
-        # rejects text that does not parse as its column's type here, not one
-        # stage later; games.csv keeps the text as it is
-        game(row)
-        return [row[c] for c in GAME_COLUMNS]
-
-    out_rows = _read_csv(out / "space.csv", config_hash, categorized, "game_id")
-    _atomic_write(out / "games.csv", _csv_text(config_hash, GAME_COLUMNS, out_rows))
-    logger.info("categorized %d games", len(out_rows))
+    row = itemgetter(*ARTIFACTS["games.csv"].columns)
+    _write_csv(out, "games.csv", config_hash, map(row, rows))
+    logger.info("categorized %d games", len(rows))
 
 
 def run_cluster(config: PipelineConfig, out: Path) -> None:
@@ -384,7 +378,7 @@ def run_cluster(config: PipelineConfig, out: Path) -> None:
     collecting = gc.isenabled()
     if collecting:
         gc.collect()
-    games = _load_games(out, config_hash)
+    games = _read(out, "games.csv", config_hash)
     raw = {game.game_id: game.vector() for game in games}
     # one scaler over the whole space keeps the three levels comparable
     scaler = FeatureScaler.fit(list(raw.values()))
@@ -422,7 +416,7 @@ def run_cluster(config: PipelineConfig, out: Path) -> None:
         # csv writes a float as its repr and None as an empty field
         for candidate in result.log:
             selected = "true" if candidate.threshold == result.best_threshold else "false"
-            log_rows.append([level, *_candidate_values(candidate), selected])
+            log_rows.append([level, *astuple(candidate), selected])
         for index, cluster in enumerate(result.clusters):
             summary = summarize(cluster, raw, level, f"{level}-{index:03d}")
             cluster_rows.append([*_summary_values(summary), *summary.centroid])
@@ -437,15 +431,9 @@ def run_cluster(config: PipelineConfig, out: Path) -> None:
             len(result.clusters),
         )
 
-    _atomic_write(out / "clusters.csv", _csv_text(config_hash, CLUSTER_COLUMNS, cluster_rows))
-    _atomic_write(
-        out / "membership.csv",
-        _csv_text(config_hash, ("cluster_id", "game_id"), member_rows),
-    )
-    _atomic_write(
-        out / "threshold_log.csv",
-        _csv_text(config_hash, THRESHOLD_LOG_COLUMNS, log_rows),
-    )
+    _write_csv(out, "clusters.csv", config_hash, cluster_rows)
+    _write_csv(out, "membership.csv", config_hash, member_rows)
+    _write_csv(out, "threshold_log.csv", config_hash, log_rows)
 
 
 _LevelWork = dict[Difficulty, tuple[list[str], list[tuple[float, ...]]]]
@@ -527,40 +515,9 @@ def _search_in_two_processes(
     return {**pickle.loads(payload), **outcomes}
 
 
-def _load_games(out: Path, config_hash: str) -> list[GameRecord]:
-    return _read_csv(out / "games.csv", config_hash, _row_parser(GameRecord), "game_id")
-
-
-def _load_summaries(out: Path, config_hash: str) -> list[ClusterSummary]:
-    members: dict[str, list[str]] = {}
-    pairs = itemgetter("cluster_id", "game_id")
-    for cluster_id, game_id in _read_csv(out / "membership.csv", config_hash, pairs, "game_id"):
-        members.setdefault(cluster_id, []).append(game_id)
-
-    scalars = [(f.name, text_parser(f.type)) for f in _SUMMARY_SCALARS]
-    coordinate = text_parser("float")
-
-    def summary(row: dict[str, str]) -> ClusterSummary:
-        return ClusterSummary(
-            **{name: parse(row[name]) for name, parse in scalars},
-            centroid=tuple(coordinate(row[c]) for c in CENTROID_COLUMNS),
-            member_game_ids=tuple(sorted(members.get(row["cluster_id"], ()))),
-        )
-
-    return _read_csv(out / "clusters.csv", config_hash, summary, "cluster_id")
-
-
 def run_map(config: PipelineConfig, out: Path) -> None:
     config_hash = config.config_hash()
-    decode = row_decoder(fields(CompoundAnnotation))
-
-    def compound(record: dict) -> CompoundAnnotation:
-        # the first build refuses a missing or unknown field, the decoders a
-        # value that is not of its field's type, a missing compound_id too
-        return CompoundAnnotation(*decode(vars(CompoundAnnotation(**record)).values()))
-
-    path = out / "annotations.jsonl"
-    _, compounds = _read_jsonl(path, config_hash, compound, "compound_id")
+    compounds = _read(out, "annotations.jsonl", config_hash)
     # distinct ids, so every id lies in 1..N only if they are exactly 1..N,
     # the curriculum positions the sessions walk through
     stray = next(
@@ -571,12 +528,19 @@ def run_map(config: PipelineConfig, out: Path) -> None:
             f"compound_id {compounds[stray].compound_id} is not in 1..{len(compounds)}, "
             f"the positions of the file's {len(compounds)} compounds"
         )
+        path = out / "annotations.jsonl"
         raise _malformed(path, _record_line(path, stray), problem)
     if config.cluster_k != len(compounds):
         problem = f"map needs one cluster per level for each of the {len(compounds)} compounds"
         raise ConfigInvalid(f"cluster.k is {config.cluster_k}, but {problem} in annotations.jsonl")
-    games = _load_games(out, config_hash)
-    summaries = _load_summaries(out, config_hash)
+    games = _read(out, "games.csv", config_hash)
+    members: dict[str, list[str]] = {}
+    for row in _read(out, "membership.csv", config_hash):
+        members.setdefault(row["cluster_id"], []).append(row["game_id"])
+    summaries = [
+        replace(summary, member_game_ids=tuple(sorted(members.get(summary.cluster_id, ()))))
+        for summary in _read(out, "clusters.csv", config_hash)
+    ]
     by_level = {level: [s for s in summaries if s.difficulty == level] for level in Difficulty}
     mapping = deploy(compounds, by_level)
     library = ContentLibrary(
@@ -590,9 +554,8 @@ def run_map(config: PipelineConfig, out: Path) -> None:
     save_library(library, str(out / "library.sqlite"))
     _atomic_write(out / "library.json", export_json(library))
     n_rows, s_rows = export_level_curves(library)
-    header = ("compound_id", *Difficulty)
-    _atomic_write(out / "mapping_N.csv", _csv_text(config_hash, header, n_rows))
-    _atomic_write(out / "mapping_S.csv", _csv_text(config_hash, header, s_rows))
+    _write_csv(out, "mapping_N.csv", config_hash, n_rows)
+    _write_csv(out, "mapping_S.csv", config_hash, s_rows)
     logger.info(
         "deployed %d compounds x %d levels over %d clusters",
         len(compounds),
@@ -635,10 +598,9 @@ def _per_level(counts: dict[Difficulty, int]) -> str:
 
 def run_simulate(config: PipelineConfig, out: Path) -> None:
     config_hash = config.config_hash()
-    _require(out / "library.sqlite")
-    library = load_library(str(out / "library.sqlite"), expected_config_hash=config_hash)
-    _, decoded = _read_jsonl(out / "mazes.jsonl", config_hash, maze_from_record, "maze_id")
-    stored = {grid.maze_id: (grid, features) for grid, features in decoded}
+    library = _read(out, "library.sqlite", config_hash)
+    mazes = _read(out, "mazes.jsonl", config_hash)
+    stored = {grid.maze_id: (grid, features) for grid, features in mazes}
     games_on: dict[str, list[GameRecord]] = {}
     for game in library.games:
         games_on.setdefault(game.maze_id, []).append(game)
@@ -709,14 +671,13 @@ def run_simulate(config: PipelineConfig, out: Path) -> None:
             event_lines.append(json.dumps({"player_id": profile.player_id, "kind": stop}))
             break
 
-    base_meta = {
-        "config_hash": config_hash,
+    meta = {
         "players": config.sim_players,
         "sessions_per_player": config.sim_sessions,
         "policy": config.sim_policy,
     }
-    _write_jsonl(out / "sessions.jsonl", base_meta, session_lines)
-    _write_jsonl(out / "events.jsonl", base_meta, event_lines)
+    _write_jsonl(out, "sessions.jsonl", config_hash, session_lines, **meta)
+    _write_jsonl(out, "events.jsonl", config_hash, event_lines, **meta)
     logger.info(
         "simulated %d sessions (%d victories) for %d players; recycled: %s; "
         "pools exhausted: %s; routing tables built for %d of %d library mazes",
@@ -732,20 +693,8 @@ def run_simulate(config: PipelineConfig, out: Path) -> None:
 
 def run_analyze(config: PipelineConfig, out: Path, sessions_path: str | None = None) -> None:
     config_hash = config.config_hash()
-    path = Path(sessions_path) if sessions_path else out / "sessions.jsonl"
-
-    def session(record: dict) -> dict:
-        # the fields analyze_sessions reads, with the types it counts on
-        if type(record["fun"]) is not bool:
-            raise TypeError(f"fun is {record['fun']!r}, not true or false")
-        for name in ("pre_exam", "post_exam"):
-            if type(record[name]) is not int or record[name] not in (0, 1):
-                raise ValueError(f"{name} is {record[name]!r}, not 0 or 1")
-        return record
-
-    _, records = _read_jsonl(
-        path, config_hash, session, "player_id", "seed", artifact="sessions.jsonl"
-    )
+    path = Path(sessions_path) if sessions_path else None
+    records = _read(out, "sessions.jsonl", config_hash, path)
     analysis = analyze_sessions(
         records,
         ci_level=config.stats_ci_level,
@@ -753,11 +702,7 @@ def run_analyze(config: PipelineConfig, out: Path, sessions_path: str | None = N
         min_n=config.stats_min_n,
     )
     _atomic_write(out / "report.txt", format_report(analysis))
-    rows = [[name, value] for name, value in report_rows(analysis)]
-    _atomic_write(
-        out / "report_numbers.csv",
-        _csv_text(config_hash, ("metric", "value"), rows),
-    )
+    _write_csv(out, "report_numbers.csv", config_hash, report_rows(analysis))
     logger.info(
         "analyzed %d sessions (%d learning-eligible)",
         analysis.total_sessions,
@@ -765,32 +710,133 @@ def run_analyze(config: PipelineConfig, out: Path, sessions_path: str | None = N
     )
 
 
+# ===== Artifact records =====
+
+
+def _names(cls: type, *without: str) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls) if f.name not in without)
+
+
+def _row_parser(cls: type):
+    """Build a ``cls`` record from a CSV row, parsing each field by its type."""
+    parsers = [(f.name, text_parser(f.type)) for f in fields(cls)]
+    return lambda row: cls(*[parse(row[name]) for name, parse in parsers])
+
+
+def _typed_text(cls: type):
+    """A CSV row kept as text once each value parses as its ``cls`` field's
+    type, so that a bad value stops the stage that reads it."""
+    parsers = {f.name: text_parser(f.type) for f in fields(cls)}
+
+    def check(row: dict[str, str]) -> dict[str, str]:
+        for name, text in row.items():
+            parsers[name](text)
+        return row
+
+    return check
+
+
+# clusters.csv: the ClusterSummary fields, the centroid spread over one
+# column per feature and the members left to membership.csv
+_SUMMARY_SCALARS = _names(ClusterSummary, "centroid", "member_game_ids")
+_summary_values = attrgetter(*_SUMMARY_SCALARS)
+_CENTROID_COLUMNS = tuple(f"c{i}" for i in range(len(FEATURE_NAMES)))
+_summary_parsers = [
+    (f.name, text_parser(f.type)) for f in fields(ClusterSummary) if f.name in _SUMMARY_SCALARS
+]
+_coordinate = text_parser("float")
+
+
+def _summary(row: dict[str, str]) -> ClusterSummary:
+    """A clusters.csv row, without the members that membership.csv holds."""
+    return ClusterSummary(
+        *[parse(row[name]) for name, parse in _summary_parsers],
+        centroid=tuple(_coordinate(row[c]) for c in _CENTROID_COLUMNS),
+        member_game_ids=(),
+    )
+
+
+_annotation_values = row_decoder(fields(CompoundAnnotation))
+
+
+def _annotation(record: dict) -> CompoundAnnotation:
+    # the first build refuses a missing or unknown field, the decoders a
+    # value that is not of its field's type, a missing compound_id too
+    return CompoundAnnotation(*_annotation_values(vars(CompoundAnnotation(**record)).values()))
+
+
+def _session(record: dict) -> dict:
+    # the fields analyze_sessions reads, with the types it counts on
+    if type(record["fun"]) is not bool:
+        raise TypeError(f"fun is {record['fun']!r}, not true or false")
+    for name in ("pre_exam", "post_exam"):
+        if type(record[name]) is not int or record[name] not in (0, 1):
+            raise ValueError(f"{name} is {record[name]!r}, not 0 or 1")
+    return record
+
+
+_LEVEL_CURVE = ("compound_id", *Difficulty)
+ARTIFACTS = {
+    "annotations.jsonl": _Artifact("annotate", "jsonl", key=("compound_id",), record=_annotation),
+    # maze_from_record looked up when called, like every name this module
+    # imports, so that a wrapper set on this module's name sees each call
+    "mazes.jsonl": _Artifact(
+        "gen-space", "jsonl", key=("maze_id",), record=lambda record: maze_from_record(record)
+    ),
+    "space.csv": _Artifact(
+        "gen-space", "csv", _names(GameRecord, "difficulty"), ("game_id",), _typed_text(GameRecord)
+    ),
+    "games.csv": _Artifact(
+        "categorize", "csv", _names(GameRecord), ("game_id",), _row_parser(GameRecord)
+    ),
+    "clusters.csv": _Artifact(
+        "cluster", "csv", _SUMMARY_SCALARS + _CENTROID_COLUMNS, ("cluster_id",), _summary
+    ),
+    "membership.csv": _Artifact("cluster", "csv", ("cluster_id", "game_id"), ("game_id",)),
+    "threshold_log.csv": _Artifact(
+        "cluster", "csv", ("difficulty", *_names(ThresholdCandidate), "selected")
+    ),
+    "library.sqlite": _Artifact("map", "sqlite"),
+    "library.json": _Artifact("map", "text"),
+    "mapping_N.csv": _Artifact("map", "csv", _LEVEL_CURVE),
+    "mapping_S.csv": _Artifact("map", "csv", _LEVEL_CURVE),
+    "sessions.jsonl": _Artifact("simulate", "jsonl", key=("player_id", "seed"), record=_session),
+    "events.jsonl": _Artifact("simulate", "jsonl"),
+    "report.txt": _Artifact("analyze", "text"),
+    "report_numbers.csv": _Artifact("analyze", "csv", ("metric", "value")),
+}
+
+
 # ===== Entry point =====
 
 
 @dataclass(frozen=True)
 class _Stage:
-    """A stage's function, the files it writes and its flags by ``run`` keyword."""
+    """A stage's function, the artifacts it reads and its flags by ``run``
+    keyword; the artifacts it writes are the ones that name it."""
 
     run: Callable[..., None]
-    writes: tuple[str, ...]
+    reads: tuple[str, ...] = ()
     flags: dict[str, tuple[str, dict]] = field(default_factory=dict)
+
+    @property
+    def writes(self) -> tuple[str, ...]:
+        return tuple(name for name, a in ARTIFACTS.items() if STAGE_TABLE[a.producer] is self)
 
 
 STAGE_TABLE = {
-    "annotate": _Stage(run_annotate, ("annotations.jsonl",)),
-    "gen-space": _Stage(run_gen_space, ("mazes.jsonl", "space.csv")),
-    "categorize": _Stage(run_categorize, ("games.csv",)),
-    "cluster": _Stage(run_cluster, ("clusters.csv", "membership.csv", "threshold_log.csv")),
-    "map": _Stage(run_map, ("library.sqlite", "library.json", "mapping_N.csv", "mapping_S.csv")),
-    "simulate": _Stage(run_simulate, ("sessions.jsonl", "events.jsonl")),
+    "annotate": _Stage(run_annotate),
+    "gen-space": _Stage(run_gen_space),
+    "categorize": _Stage(run_categorize, ("space.csv",)),
+    "cluster": _Stage(run_cluster, ("games.csv",)),
+    "map": _Stage(run_map, ("annotations.jsonl", "games.csv", "membership.csv", "clusters.csv")),
+    "simulate": _Stage(run_simulate, ("library.sqlite", "mazes.jsonl")),
     "analyze": _Stage(
         run_analyze,
-        ("report.txt", "report_numbers.csv"),
+        ("sessions.jsonl",),
         {"sessions_path": ("--sessions", {"metavar": "PATH", "help": "sessions.jsonl to read"})},
     ),
 }
-_PRODUCERS = {name: stage for stage, entry in STAGE_TABLE.items() for name in entry.writes}
 
 
 def build_parser() -> argparse.ArgumentParser:

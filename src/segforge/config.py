@@ -54,6 +54,9 @@ _POLICY = (lambda v: v in POLICIES, f"must be one of {', '.join(POLICIES)}")
 # the rules that join settings, checked once every field has passed its own
 _JOINT_RULES = (
     (lambda c: c.easy_medium < c.medium_hard, "score.easy_medium must lie below score.medium_hard"),
+    # a sample of more points than clusters holds two points of one cluster,
+    # so its silhouette is not that of singletons alone, which all score 1
+    (lambda c: c.cluster_sample_cap > c.cluster_k, "cluster.sample_cap must exceed cluster.k"),
 )
 
 

@@ -11,6 +11,7 @@ import importlib.util
 import json
 import logging
 import os
+import re
 import shutil
 import signal
 import sqlite3
@@ -26,7 +27,7 @@ from types import SimpleNamespace
 import pytest
 
 from segforge import cli, knowledge
-from segforge.cli import STAGE_TABLE, main
+from segforge.cli import ARTIFACTS, STAGE_TABLE, main
 from segforge.clustering import ClusterSummary, NoFeasibleThreshold, ThresholdCandidate
 from segforge.config import load_config
 from segforge.contentspace import (
@@ -47,6 +48,10 @@ sim.players = 4
 sim.sessions = 10
 stats.min_n = 5
 """
+
+
+# every (stage, artifact) pair of the read matrix, in table order
+READS = [(stage, name) for stage, entry in STAGE_TABLE.items() for name in entry.reads]
 
 
 def _read_rows(path):
@@ -472,7 +477,39 @@ def test_games_table_missing_a_column_fails_cleanly(workdir, tmp_path, capsys):
     assert main(["cluster", "--config", str(config), "--out", str(broken)]) == 1
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1
-    assert "games.csv line 3" in err and "total_path" in err
+    assert "games.csv line 2" in err and "total_path" in err
+
+
+@pytest.mark.parametrize("mutation", ["header-removed", "column-dropped", "rows-cut"])
+@pytest.mark.parametrize(
+    "stage, name", [(stage, name) for stage, name in READS if ARTIFACTS[name].format == "csv"]
+)
+def test_csv_without_its_declared_header_fails_cleanly(
+    workdir, tmp_path, capsys, stage, name, mutation
+):
+    """Line 2 of a CSV artifact must be its declared columns. Without that
+    check a file cut to its hash line read as no rows, and a first row taken
+    for the header would drop that row."""
+    config, out = workdir
+    run = tmp_path / "run"
+    run.mkdir()
+    for read in STAGE_TABLE[stage].reads:
+        shutil.copyfile(out / read, run / read)
+    lines = (out / name).read_text().splitlines()
+    columns = ARTIFACTS[name].columns
+    assert lines[1] == ",".join(columns)
+    if mutation == "header-removed":
+        del lines[1]
+    elif mutation == "column-dropped":
+        lines[1] = ",".join(columns[:1] + columns[2:])
+    else:
+        lines = lines[:1]
+    (run / name).write_text("\n".join(lines) + "\n")
+    assert main([stage, "--config", str(config), "--out", str(run)]) == 1
+    assert capsys.readouterr().err == (
+        f"segforge {stage}: {name} line 2: ValueError: the header is not {','.join(columns)}\n"
+    )
+    assert not any((run / written).exists() for written in STAGE_TABLE[stage].writes)
 
 
 @pytest.mark.parametrize(
@@ -524,8 +561,8 @@ def test_artifact_readers_give_each_level_as_a_difficulty(workdir):
     config_hash = load_config(config).config_hash()
     library = load_library(str(out / "library.sqlite"))
     records = (
-        cli._load_games(out, config_hash)
-        + cli._load_summaries(out, config_hash)
+        cli._read(out, "games.csv", config_hash)
+        + cli._read(out, "clusters.csv", config_hash)
         + library.games
         + library.clusters
         + library.mapping
@@ -534,21 +571,14 @@ def test_artifact_readers_give_each_level_as_a_difficulty(workdir):
 
 
 @pytest.mark.parametrize(
-    "stage, name, key",
+    "stage, name",
     [
-        pytest.param("categorize", "space.csv", ("game_id",), id="categorize-space.csv"),
-        pytest.param("cluster", "games.csv", ("game_id",), id="cluster"),
-        pytest.param("map", "games.csv", ("game_id",), id="map"),
-        pytest.param("map", "clusters.csv", ("cluster_id",), id="map-clusters.csv"),
-        pytest.param("map", "membership.csv", ("game_id",), id="map-membership.csv"),
-        pytest.param("map", "annotations.jsonl", ("compound_id",), id="map-annotations.jsonl"),
-        pytest.param("simulate", "mazes.jsonl", ("maze_id",), id="simulate-mazes.jsonl"),
-        pytest.param(
-            "analyze", "sessions.jsonl", ("player_id", "seed"), id="analyze-sessions.jsonl"
-        ),
+        pytest.param(stage, name, id=f"{stage}-{name}")
+        for stage, name in READS
+        if ARTIFACTS[name].key
     ],
 )
-def test_repeated_game_id_fails_cleanly(workdir, tmp_path, capsys, stage, name, key):
+def test_repeated_game_id_fails_cleanly(workdir, tmp_path, capsys, stage, name):
     """Line 6 repeated at the end of an artifact its stage reads. A repeated
     game row would count its game twice in a cluster and break the library's
     unique game ids; a repeated cluster or membership row would break the
@@ -558,7 +588,7 @@ def test_repeated_game_id_fails_cleanly(workdir, tmp_path, capsys, stage, name, 
     shutil.copytree(out, broken)
     lines = (out / name).read_text().splitlines()
     copied = lines[5]
-    if name.endswith(".csv"):
+    if ARTIFACTS[name].format == "csv":
         record = dict(zip(lines[1].split(","), copied.split(",")))
     else:
         record = json.loads(copied)
@@ -569,7 +599,7 @@ def test_repeated_game_id_fails_cleanly(workdir, tmp_path, capsys, stage, name, 
     (broken / name).write_text("\n".join(lines + [copied]) + "\n")
     assert main([stage, "--config", str(config), "--out", str(broken)]) == 1
     err = capsys.readouterr().err.strip()
-    named = ", ".join(f"{field} {record[field]!r}" for field in key)
+    named = ", ".join(f"{field} {record[field]!r}" for field in ARTIFACTS[name].key)
     assert err == (
         f"segforge {stage}: {name} line {len(lines) + 1}: ValueError: {named} repeats line 6"
     )
@@ -841,15 +871,15 @@ def _check_cluster_pauses_the_collector(workdir, tmp_path, monkeypatch, collecti
     shutil.copyfile(out / "games.csv", tmp_path / "games.csv")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     real_search = cli.search_threshold
-    real_load = cli._load_games
+    real_read = cli._read
     # filled in this process only: a forked child's searches leave no trace
     seen = []
     loaded = []
     failing = []
 
-    def load(*args):
+    def read(*args):
         loaded.append(garbage() is None)
-        return real_load(*args)
+        return real_read(*args)
 
     def search(*args, **kwargs):
         seen.append((gc.isenabled(), garbage() is None))
@@ -858,7 +888,7 @@ def _check_cluster_pauses_the_collector(workdir, tmp_path, monkeypatch, collecti
         return real_search(*args, **kwargs)
 
     monkeypatch.setattr(cli, "search_threshold", search)
-    monkeypatch.setattr(cli, "_load_games", load)
+    monkeypatch.setattr(cli, "_read", read)
     was_collecting = gc.isenabled()
     try:
         (gc.enable if collecting else gc.disable)()
@@ -998,18 +1028,7 @@ def test_missing_prerequisite_fails_cleanly(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "stage, name, producer",
-    [
-        ("categorize", "space.csv", "gen-space"),
-        ("cluster", "games.csv", "categorize"),
-        ("map", "annotations.jsonl", "annotate"),
-        ("map", "games.csv", "categorize"),
-        ("map", "clusters.csv", "cluster"),
-        ("map", "membership.csv", "cluster"),
-        ("simulate", "library.sqlite", "map"),
-        ("simulate", "mazes.jsonl", "gen-space"),
-        ("analyze", "sessions.jsonl", "simulate"),
-    ],
+    "stage, name, producer", [(stage, name, ARTIFACTS[name].producer) for stage, name in READS]
 )
 def test_missing_input_names_its_producer(workdir, tmp_path, capsys, stage, name, producer):
     config, out = workdir
@@ -1031,6 +1050,53 @@ def test_missing_sessions_override_names_simulate(workdir, tmp_path, capsys):
         f"segforge analyze: moved-sessions.jsonl not found in {tmp_path}; "
         "run the 'simulate' stage first"
     )
+
+
+def test_each_input_is_written_by_one_earlier_stage():
+    stages = list(STAGE_TABLE)
+    for stage, name in READS:
+        writers = [other for other in stages if name in STAGE_TABLE[other].writes]
+        assert len(writers) == 1, (stage, name, writers)
+        assert stages.index(writers[0]) < stages.index(stage), (stage, name)
+        # a reader checks every record's key; the store keys its own tables
+        assert ARTIFACTS[name].key or ARTIFACTS[name].format == "sqlite", name
+
+
+def test_each_artifact_is_written_by_one_stage():
+    written = Counter(name for entry in STAGE_TABLE.values() for name in entry.writes)
+    assert written == dict.fromkeys(ARTIFACTS, 1)
+
+
+def test_stages_read_and_write_what_the_table_declares(tmp_path, monkeypatch):
+    """Stage by stage, each reads its declared inputs in order, one call
+    each, and adds exactly the files it is declared to write."""
+    overrides = {"maze.count": "7", "sim.players": "4", "sim.sessions": "10", "stats.min_n": "5"}
+    config = load_config(None, overrides)
+    real_read = cli._read
+    calls = []
+
+    def read(out, name, *args):
+        calls.append(name)
+        return real_read(out, name, *args)
+
+    monkeypatch.setattr(cli, "_read", read)
+    for stage, entry in STAGE_TABLE.items():
+        before = {path.name for path in tmp_path.iterdir()}
+        calls.clear()
+        entry.run(config, tmp_path)
+        assert tuple(calls) == entry.reads, stage
+        assert {path.name for path in tmp_path.iterdir()} - before == set(entry.writes), stage
+
+
+def test_readme_stage_table_is_the_stage_table():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    table = {}
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        cells = line.strip().strip("|").split("|")
+        if len(cells) == 4 and cells[0].strip().startswith("`"):
+            stage, reads, writes = (re.findall(r"`([^`]+)`", cell) for cell in cells[:3])
+            table[stage[0]] = (tuple(reads), tuple(writes))
+    assert table == {stage: (entry.reads, entry.writes) for stage, entry in STAGE_TABLE.items()}
 
 
 @pytest.mark.parametrize(

@@ -110,6 +110,7 @@ def test_repeated_key_rejected(tmp_path):
     [
         ("maze.width = 3", "odd"),
         ("score.easy_medium = 12", "below"),
+        ("cluster.sample_cap = 100", "cluster.sample_cap must exceed cluster.k"),
         ("cluster.threshold_grid = -0.5", "positive"),
         ("cluster.threshold_grid = nan, 0.01", "finite"),
         ("score.positive_weights = nan, inf", "finite"),
