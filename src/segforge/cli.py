@@ -350,8 +350,8 @@ def run_gen_space(config: PipelineConfig, out: Path) -> None:
     meta = {"count": len(mazes), "width": config.maze_width, "height": config.maze_height}
     _write_jsonl(out, "mazes.jsonl", config_hash, records, **meta)
 
-    row = itemgetter(*ARTIFACTS["space.csv"].columns)
-    rows = [row({**vars(features[game.maze_id]), **vars(game)}) for game in games]
+    in_order = itemgetter(*ARTIFACTS["space.csv"].columns)
+    rows = [in_order({**vars(features[game.maze_id]), **vars(game)}) for game in games]
     _write_csv(out, "space.csv", config_hash, rows)
     logger.info("generated %d mazes and %d game variants", len(mazes), len(games))
 
@@ -363,8 +363,8 @@ def run_categorize(config: PipelineConfig, out: Path) -> None:
     rows = _read(out, "space.csv", config_hash)
     for row in rows:
         row["difficulty"] = classify_difficulty(params(row))
-    row = itemgetter(*ARTIFACTS["games.csv"].columns)
-    _write_csv(out, "games.csv", config_hash, map(row, rows))
+    in_order = itemgetter(*ARTIFACTS["games.csv"].columns)
+    _write_csv(out, "games.csv", config_hash, map(in_order, rows))
     logger.info("categorized %d games", len(rows))
 
 
