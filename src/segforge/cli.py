@@ -12,6 +12,10 @@ with its ``run_*`` function, the files it reads and its own flags; the
 subcommands, dispatch and each stage's files derive from the two. A stage
 reads an input with one call by name, ``_read``, and writes a CSV or JSONL
 file with ``_write_csv`` or ``_write_jsonl``.
+
+``verify`` is not a stage: it writes nothing, and it runs the check that
+``simulate`` runs on a maze when a game on it is first served over every
+maze the library uses.
 """
 
 from __future__ import annotations
@@ -61,7 +65,6 @@ from .engine import (
     MazeTree,
     PlayerProfile,
     maze_tree,
-    perfect_maze,
     practice_session,
     practice_tree,
     run_session,
@@ -130,7 +133,9 @@ def _read(out: Path, name: str, config_hash: str, path: Path | None = None):
             f"{path.name} not found in {path.parent}; run the {artifact.producer!r} stage first"
         )
     if artifact.format == "sqlite":
-        return load_library(str(path), expected_config_hash=config_hash)
+        library = load_library(str(path))
+        _check_hash(library.metadata.get("config_hash"), config_hash, path)
+        return library
     if artifact.format == "csv":
         return _read_csv(path, config_hash, artifact)
     return _read_jsonl(path, config_hash, artifact, Path(name).stem)
@@ -385,11 +390,13 @@ def run_cluster(config: PipelineConfig, out: Path) -> None:
     work = {}
     for level in Difficulty:
         tags = sorted(game.game_id for game in games if game.difficulty == level)
-        # a search can make no more leaf clusters than its level has games
-        if len(tags) < config.cluster_k:
+        # a search can make no more leaf clusters than its level has games,
+        # and with one game in each, every threshold would score 1.0
+        if len(tags) <= config.cluster_k:
+            share = "fewer than" if len(tags) < config.cluster_k else "exactly"
             raise ConfigInvalid(
                 f"cluster.k is {config.cluster_k}, but level '{level}' has only "
-                f"{len(tags)} games in games.csv, fewer than one per cluster"
+                f"{len(tags)} games in games.csv, {share} one per cluster"
             )
         work[level] = (tags, scaler.transform([raw[tag] for tag in tags]))
     if collecting:
@@ -580,16 +587,60 @@ def _check_features(grid: MazeGrid, stored: MazeFeatures, games: list[GameRecord
 
 class _PlayedTrees(dict):
     """Routing tables keyed by maze id, each built when a game on its maze is
-    first served and shared by every later game there, so a cohort holds the
-    tables of the mazes it plays rather than of the whole library."""
+    first served and shared by every later game there. A maze's mazes.jsonl
+    record stays undecoded until then, so a cohort decodes, checks and holds
+    the tables of the mazes it plays rather than of the whole library.
 
-    def __init__(self, grids: dict[str, MazeGrid]):
+    ``games_on`` maps each maze the library uses to the library games on
+    it; a maze among them that ``records`` lacks raises MalformedArtifact.
+    """
+
+    def __init__(self, path: Path, records: list[dict], games_on: dict[str, list[GameRecord]]):
         super().__init__()
-        self.grids = grids
+        self.path = path
+        self.records = records
+        self.index = {record["maze_id"]: i for i, record in enumerate(records)}
+        self.games_on = games_on
+        missing = next((maze_id for maze_id in games_on if maze_id not in self.index), None)
+        if missing is not None:
+            raise MalformedArtifact(f"mazes.jsonl has no maze {missing!r}, which the library uses")
 
     def __missing__(self, maze_id: str) -> MazeTree:
-        tree = self[maze_id] = maze_tree(self.grids[maze_id])
+        tree = self[maze_id] = self.checked(maze_id)
         return tree
+
+    def checked(self, maze_id: str) -> MazeTree:
+        """The routing tables of maze ``maze_id``. Raises MalformedArtifact,
+        naming the maze, unless its record decodes to a perfect maze whose
+        cells have the features that its record and every library game on
+        it store; a record that does not decode also names its line."""
+        index = self.index[maze_id]
+        try:
+            # looked up when called, like every name this module imports, so
+            # that a wrapper set on this module's name sees each call
+            grid, stored = maze_from_record(self.records[index])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedArtifact(
+                f"{self.path.name} line {_record_line(self.path, index)}: maze {maze_id!r}: "
+                f"{type(exc).__name__}: {exc}"
+            ) from None
+        try:
+            tree = maze_tree(grid)
+        except ImperfectMaze as exc:
+            raise MalformedArtifact(f"mazes.jsonl: {exc}") from None
+        _check_features(grid, stored, self.games_on[maze_id])
+        return tree
+
+
+def _library_mazes(out: Path, config_hash: str) -> tuple[ContentLibrary, _PlayedTrees]:
+    """The library in ``out`` and the routing tables, none built yet, of the
+    mazes its games use."""
+    library = _read(out, "library.sqlite", config_hash)
+    games_on: dict[str, list[GameRecord]] = {}
+    for game in library.games:
+        games_on.setdefault(game.maze_id, []).append(game)
+    records = _read(out, "mazes.jsonl", config_hash)
+    return library, _PlayedTrees(out / "mazes.jsonl", records, games_on)
 
 
 def _per_level(counts: dict[Difficulty, int]) -> str:
@@ -598,25 +649,8 @@ def _per_level(counts: dict[Difficulty, int]) -> str:
 
 def run_simulate(config: PipelineConfig, out: Path) -> None:
     config_hash = config.config_hash()
-    library = _read(out, "library.sqlite", config_hash)
-    mazes = _read(out, "mazes.jsonl", config_hash)
-    stored = {grid.maze_id: (grid, features) for grid, features in mazes}
-    games_on: dict[str, list[GameRecord]] = {}
-    for game in library.games:
-        games_on.setdefault(game.maze_id, []).append(game)
-    missing = next((maze_id for maze_id in games_on if maze_id not in stored), None)
-    if missing is not None:
-        raise MalformedArtifact(f"mazes.jsonl has no maze {missing!r}, which the library uses")
-    # the bots route on each maze's spanning tree; the routing tables are
-    # built only for the mazes a cohort plays
-    for maze_id in sorted(games_on):
-        grid, features = stored[maze_id]
-        try:
-            perfect_maze(grid)
-        except ImperfectMaze as exc:
-            raise MalformedArtifact(f"mazes.jsonl: {exc}") from None
-        _check_features(grid, features, games_on[maze_id])
-    trees = _PlayedTrees({maze_id: grid for maze_id, (grid, _) in stored.items()})
+    # verify checks the mazes that no session serves
+    library, trees = _library_mazes(out, config_hash)
     practice_maze = practice_tree()
 
     session_lines: list[str] = []
@@ -687,8 +721,29 @@ def run_simulate(config: PipelineConfig, out: Path) -> None:
         _per_level(recycled),
         _per_level(exhausted),
         len(trees),
-        len(games_on),
+        len(trees.games_on),
     )
+
+
+def run_verify(config: PipelineConfig, out: Path) -> list[str]:
+    """One line for each maze the library uses that ``simulate`` would
+    refuse when a game on it is first served, in maze id order. The library
+    and mazes.jsonl are read as ``simulate`` reads them, so a file that it
+    would refuse raises as there."""
+    library, trees = _library_mazes(out, config.config_hash())
+    problems = []
+    for maze_id in sorted(trees.games_on):
+        try:
+            trees.checked(maze_id)
+        except MalformedArtifact as exc:
+            problems.append(str(exc))
+    logger.info(
+        "verified %d mazes and %d library games: %d broken",
+        len(trees.games_on),
+        len(library.games),
+        len(problems),
+    )
+    return problems
 
 
 def run_analyze(config: PipelineConfig, out: Path, sessions_path: str | None = None) -> None:
@@ -778,11 +833,8 @@ def _session(record: dict) -> dict:
 _LEVEL_CURVE = ("compound_id", *Difficulty)
 ARTIFACTS = {
     "annotations.jsonl": _Artifact("annotate", "jsonl", key=("compound_id",), record=_annotation),
-    # maze_from_record looked up when called, like every name this module
-    # imports, so that a wrapper set on this module's name sees each call
-    "mazes.jsonl": _Artifact(
-        "gen-space", "jsonl", key=("maze_id",), record=lambda record: maze_from_record(record)
-    ),
+    # a record is decoded when a game on its maze is first served
+    "mazes.jsonl": _Artifact("gen-space", "jsonl", key=("maze_id",)),
     "space.csv": _Artifact(
         "gen-space", "csv", _names(GameRecord, "difficulty"), ("game_id",), _typed_text(GameRecord)
     ),
@@ -839,6 +891,15 @@ STAGE_TABLE = {
 }
 
 
+def _run_directory_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--config", default=None, help="path to a key=value config file")
+    sub.add_argument(
+        "--out",
+        default=None,
+        help="working directory for artifacts (default: $SEGFORGE_DIR or ./segforge_out)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="segforge",
@@ -849,17 +910,15 @@ def build_parser() -> argparse.ArgumentParser:
     commands = {**{name: entry.flags for name, entry in STAGE_TABLE.items()}, "pipeline": {}}
     for name, flags in commands.items():
         sub = subparsers.add_parser(name, help=f"run the {name} stage")
-        sub.add_argument("--config", default=None, help="path to a key=value config file")
-        sub.add_argument(
-            "--out",
-            default=None,
-            help="working directory for artifacts (default: $SEGFORGE_DIR or ./segforge_out)",
-        )
+        _run_directory_flags(sub)
         sub.add_argument(
             "--seed", type=int, default=None, help="override space, cluster and sim seeds"
         )
         for keyword, (option, settings) in flags.items():
             sub.add_argument(option, dest=keyword, **settings)
+    verify = subparsers.add_parser("verify", help="check every maze the library uses")
+    _run_directory_flags(verify)
+    verify.set_defaults(seed=None)
     init = subparsers.add_parser("init-config", help="print a commented default config")
     init.add_argument("--config", default=None, help="write the template to this path")
     return parser
@@ -887,6 +946,12 @@ def main(argv: list[str] | None = None) -> int:
             }
         config = load_config(args.config, overrides)
         out = Path(args.out or os.environ.get("SEGFORGE_DIR") or "segforge_out")
+        if args.stage == "verify":
+            # reads only, so it neither makes the directory nor takes its lock
+            problems = run_verify(config, out)
+            for problem in problems:
+                print(f"segforge verify: {problem}", file=sys.stderr)
+            return 1 if problems else 0
         try:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:

@@ -371,25 +371,6 @@ def _open_a_wall(grid, defect):
     return tuple(tuple(row) for row in rows)
 
 
-@pytest.mark.parametrize("defect", ["loop", "island"])
-def test_imperfect_maze_fails_cleanly(workdir, tmp_path, capsys, defect):
-    config, out = workdir
-    broken = tmp_path / defect
-    broken.mkdir()
-    shutil.copyfile(out / "library.sqlite", broken / "library.sqlite")
-    lines = (out / "mazes.jsonl").read_text().splitlines()
-    index = next(i for i, line in enumerate(lines) if '"m0003"' in line)
-    grid, features = maze_from_record(json.loads(lines[index]))
-    grid = type(grid)(**{**vars(grid), "cells": _open_a_wall(grid, defect)})
-    lines[index] = maze_record_json(grid, features)
-    (broken / "mazes.jsonl").write_text("\n".join(lines) + "\n")
-    assert main(["simulate", "--config", str(config), "--out", str(broken)]) == 1
-    err = capsys.readouterr().err.strip()
-    assert len(err.splitlines()) == 1
-    assert "mazes.jsonl" in err and "'m0003' is not a perfect maze" in err
-    assert not (broken / "sessions.jsonl").exists()
-
-
 def _grow_a_dead_end(grid):
     """The cells of ``grid`` with one wall opened beside a dead end where no
     other path cell touches it, so the maze stays a tree one cell larger.
@@ -419,31 +400,63 @@ def _grow_a_dead_end(grid):
     return tuple(tuple(row) for row in rows)
 
 
-@pytest.mark.parametrize("stale", ["record", "library"])
-def test_stale_maze_features_fail_cleanly(workdir, tmp_path, capsys, stale):
-    """m0003 is the same maze in every run at the default space seed and
-    size. Its cells gain one path cell; the features stay stale in its
-    mazes.jsonl record, or only in the library's game rows."""
+@pytest.mark.parametrize("served", [True, False], ids=["served", "unserved"])
+@pytest.mark.parametrize(
+    "defect", ["loop", "island", "stale-record", "stale-library", "undecodable"]
+)
+def test_broken_maze_stops_simulate_where_served_and_verify_always(
+    workdir, tmp_path, capsys, defect, served
+):
+    """One maze of the unbroken run breaks: a wall opens into a loop or an
+    island; its cells gain one path cell while the features stay stale in
+    its mazes.jsonl record, or only in the library's game rows; or its cells
+    do not decode. simulate checks a maze when a game on it is first served,
+    so only a maze that a session serves stops it; verify names either."""
     config, out = workdir
-    broken = tmp_path / stale
+    maze_of = {row["game_id"]: row["maze_id"] for row in _read_rows(out / "games.csv")}
+    sessions = [json.loads(line) for line in (out / "sessions.jsonl").open()][1:]
+    played = {maze_of[s["game_id"]] for s in sessions}
+    maze_id = min(played) if served else min(set(maze_of.values()) - played)
+    broken = tmp_path / "broken"
     broken.mkdir()
     shutil.copyfile(out / "library.sqlite", broken / "library.sqlite")
     lines = (out / "mazes.jsonl").read_text().splitlines()
-    index = next(i for i, line in enumerate(lines) if '"m0003"' in line)
+    index = next(i for i, line in enumerate(lines) if json.loads(line).get("maze_id") == maze_id)
     grid, features = maze_from_record(json.loads(lines[index]))
-    grid = type(grid)(**{**vars(grid), "cells": _grow_a_dead_end(grid)})
-    maze_tree(grid)  # still a perfect maze
-    assert (features.total_path, extract_features(grid).total_path) == (199, 200)
-    if stale == "library":
-        features = extract_features(grid)
-    lines[index] = maze_record_json(grid, features)
+    if defect in ("loop", "island"):
+        grid = type(grid)(**{**vars(grid), "cells": _open_a_wall(grid, defect)})
+        expected = [f"{maze_id!r} is not a perfect maze"]
+        lines[index] = maze_record_json(grid, features)
+    elif defect == "undecodable":
+        record = json.loads(lines[index])
+        record["cells"] = record["cells"][:-1]
+        lines[index] = json.dumps(record)
+        expected = [f"mazes.jsonl line {index + 1}: maze {maze_id!r}: ValueError"]
+    else:
+        grid = type(grid)(**{**vars(grid), "cells": _grow_a_dead_end(grid)})
+        maze_tree(grid)  # still a perfect maze
+        grown = extract_features(grid)
+        assert grown.total_path == features.total_path + 1
+        holder = "in its record" if defect == "stale-record" else "in library game"
+        expected = [f"{maze_id!r} has total_path {grown.total_path}", f"{features.total_path} {holder}"]
+        lines[index] = maze_record_json(grid, grown if defect == "stale-library" else features)
     (broken / "mazes.jsonl").write_text("\n".join(lines) + "\n")
-    assert main(["simulate", "--config", str(config), "--out", str(broken)]) == 1
-    err = capsys.readouterr().err.strip()
+
+    simulated = main(["simulate", "--config", str(config), "--out", str(broken)])
+    simulate_err = capsys.readouterr().err
+    assert main(["verify", "--config", str(config), "--out", str(broken)]) == 1
+    err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
-    assert "mazes.jsonl" in err and "'m0003' has total_path 200" in err
-    assert ("199 in its record" if stale == "record" else "199 in library game") in err
-    assert not (broken / "sessions.jsonl").exists()
+    assert err.startswith("segforge verify: mazes.jsonl")
+    assert all(part in err for part in expected), err
+    if served:
+        assert simulated == 1
+        assert simulate_err == err.replace("segforge verify:", "segforge simulate:", 1)
+        assert not (broken / "sessions.jsonl").exists()
+    else:
+        assert (simulated, simulate_err) == (0, "")
+        for name in ("sessions.jsonl", "events.jsonl"):
+            assert (broken / name).read_bytes() == (out / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("text", ["", "nan", "-inf"], ids=["blank", "nan", "inf"])
@@ -770,6 +783,16 @@ def test_level_with_fewer_games_than_clusters_fails_before_any_search(
     )
     assert searched == []
     assert not (run / "clusters.csv").exists()
+    # with exactly one game per cluster, every threshold would score 1.0
+    config = tmp_path / "k360.conf"
+    config.write_text(TEST_CONFIG + "cluster.k = 360\n")
+    assert main(["cluster", "--config", str(config), "--out", str(run)]) == 1
+    assert capsys.readouterr().err == (
+        "segforge cluster: cluster.k is 360, but level 'easy' has only 360 games "
+        "in games.csv, exactly one per cluster\n"
+    )
+    assert searched == []
+    assert not (run / "clusters.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -845,7 +868,8 @@ def test_simulate_builds_tables_only_for_played_mazes(workdir, tmp_path, monkeyp
     played = {maze_of[s["game_id"]] for s in sessions}
     library = set(maze_of.values())
     assert played < library
-    # every library maze is checked without tables; a played maze's are built once
+    # a maze is decoded and checked when its tables are built: once for each
+    # played maze, and for no other
     assert Counter(built) == Counter(played)
 
 
@@ -1241,6 +1265,17 @@ def test_stage_warns_on_config_drift(tmp_path, caplog):
     with caplog.at_level(logging.WARNING):
         assert main(["categorize", "--out", str(out), "--seed", "2"]) == 0
     assert any("different configuration" in r.message for r in caplog.records)
+
+
+def test_library_and_mazes_under_another_seed_warn_alike(workdir, tmp_path, caplog):
+    config, out = workdir
+    for name in ("library.sqlite", "mazes.jsonl"):
+        shutil.copyfile(out / name, tmp_path / name)
+    with caplog.at_level(logging.WARNING):
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path), "--seed", "5"]) == 0
+    warned = [r.message for r in caplog.records if r.levelno == logging.WARNING]
+    assert [message.split()[0] for message in warned] == ["library.sqlite", "mazes.jsonl"]
+    assert all(" was produced under a different configuration (hash " in m for m in warned)
 
 
 def test_map_writes_level_curves(workdir):

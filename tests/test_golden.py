@@ -146,3 +146,21 @@ def test_simulate_counts_the_mazes_it_built_tables_for(golden_run, tmp_path, cap
     played = {maze_of[json.loads(line)["game_id"]] for line in lines}
     expected = f"routing tables built for {len(played)} of {len(set(maze_of.values()))} library mazes"
     assert any(message.endswith(expected) for message in caplog.messages), caplog.messages
+
+
+def test_verify_finds_the_golden_run_whole_and_changes_nothing(golden_run, tmp_path, capsys, caplog):
+    """verify checks every maze the library uses against its record and the
+    library games on it, and writes nothing: no line on stderr, no warning,
+    and the run directory keeps its files and their bytes."""
+    config = tmp_path / "golden.conf"
+    config.write_text(GOLDEN_CONFIG)
+    before = {path.name: path.read_bytes() for path in golden_run.iterdir()}
+    with caplog.at_level(logging.INFO, logger="segforge"):
+        assert main(["verify", "--config", str(config), "--out", str(golden_run)]) == 0
+    assert capsys.readouterr().err == ""
+    assert [r.message for r in caplog.records if r.levelno >= logging.WARNING] == []
+    assert {path.name: path.read_bytes() for path in golden_run.iterdir()} == before
+    library = load_library(str(golden_run / "library.sqlite"))
+    mazes = len({game.maze_id for game in library.games})
+    expected = f"verified {mazes} mazes and {len(library.games)} library games: 0 broken"
+    assert expected in caplog.messages, caplog.messages
