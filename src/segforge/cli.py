@@ -13,9 +13,9 @@ subcommands, dispatch and each stage's files derive from the two. A stage
 reads an input with one call by name, ``_read``, and writes a CSV or JSONL
 file with ``_write_csv`` or ``_write_jsonl``.
 
-``verify`` is not a stage: it writes nothing, and it runs the check that
-``simulate`` runs on a maze when a game on it is first served over every
-maze the library uses.
+``verify`` is not a stage: it writes nothing. It checks every rule of the
+library, and runs the check that ``simulate`` runs on a maze when a game on
+it is first served over every maze the library uses.
 """
 
 from __future__ import annotations
@@ -125,7 +125,9 @@ def _atomic_write(path: Path | str, text: str) -> None:
 def _read(out: Path, name: str, config_hash: str, path: Path | None = None):
     """The records of artifact ``name`` in ``out``, or at ``path`` instead,
     as its declaration reads them; a missing file names the stage that
-    writes it, and a configuration hash other than ``config_hash`` warns."""
+    writes it, and a configuration hash other than ``config_hash`` warns.
+    A library file is opened, to be read on demand, and its reader closes
+    it."""
     artifact = ARTIFACTS[name]
     path = path or out / name
     if not path.is_file():
@@ -588,20 +590,21 @@ def _check_features(grid: MazeGrid, stored: MazeFeatures, games: list[GameRecord
 class _PlayedTrees(dict):
     """Routing tables keyed by maze id, each built when a game on its maze is
     first served and shared by every later game there. A maze's mazes.jsonl
-    record stays undecoded until then, so a cohort decodes, checks and holds
-    the tables of the mazes it plays rather than of the whole library.
+    record stays undecoded, and the library games on it unread, until then,
+    so a cohort decodes, checks and holds the tables of the mazes it plays
+    rather than of the whole library.
 
-    ``games_on`` maps each maze the library uses to the library games on
-    it; a maze among them that ``records`` lacks raises MalformedArtifact.
+    A maze that a game of ``library`` uses and ``records`` lacks raises
+    MalformedArtifact.
     """
 
-    def __init__(self, path: Path, records: list[dict], games_on: dict[str, list[GameRecord]]):
+    def __init__(self, path: Path, records: list[dict], library: ContentLibrary):
         super().__init__()
         self.path = path
         self.records = records
         self.index = {record["maze_id"]: i for i, record in enumerate(records)}
-        self.games_on = games_on
-        missing = next((maze_id for maze_id in games_on if maze_id not in self.index), None)
+        self.library = library
+        missing = next((m for m in library.maze_ids if m not in self.index), None)
         if missing is not None:
             raise MalformedArtifact(f"mazes.jsonl has no maze {missing!r}, which the library uses")
 
@@ -628,19 +631,8 @@ class _PlayedTrees(dict):
             tree = maze_tree(grid)
         except ImperfectMaze as exc:
             raise MalformedArtifact(f"mazes.jsonl: {exc}") from None
-        _check_features(grid, stored, self.games_on[maze_id])
+        _check_features(grid, stored, self.library.games_on(maze_id))
         return tree
-
-
-def _library_mazes(out: Path, config_hash: str) -> tuple[ContentLibrary, _PlayedTrees]:
-    """The library in ``out`` and the routing tables, none built yet, of the
-    mazes its games use."""
-    library = _read(out, "library.sqlite", config_hash)
-    games_on: dict[str, list[GameRecord]] = {}
-    for game in library.games:
-        games_on.setdefault(game.maze_id, []).append(game)
-    records = _read(out, "mazes.jsonl", config_hash)
-    return library, _PlayedTrees(out / "mazes.jsonl", records, games_on)
 
 
 def _per_level(counts: dict[Difficulty, int]) -> str:
@@ -649,61 +641,63 @@ def _per_level(counts: dict[Difficulty, int]) -> str:
 
 def run_simulate(config: PipelineConfig, out: Path) -> None:
     config_hash = config.config_hash()
-    # verify checks the mazes that no session serves
-    library, trees = _library_mazes(out, config_hash)
-    practice_maze = practice_tree()
+    # a cluster and a maze are read and checked when a session first serves
+    # them; verify checks the rest
+    with _read(out, "library.sqlite", config_hash) as library:
+        trees = _PlayedTrees(out / "mazes.jsonl", _read(out, "mazes.jsonl", config_hash), library)
+        practice_maze = practice_tree()
 
-    session_lines: list[str] = []
-    event_lines: list[str] = []
+        session_lines: list[str] = []
+        event_lines: list[str] = []
 
-    def log_events(player_id: str, game_id: str, events) -> None:
-        event_lines.extend(
-            json.dumps({"player_id": player_id, "game_id": game_id, **vars(event)})
-            for event in events
-        )
+        def log_events(player_id: str, game_id: str, events) -> None:
+            event_lines.extend(
+                json.dumps({"player_id": player_id, "game_id": game_id, **vars(event)})
+                for event in events
+            )
 
-    victories = 0
-    recycled = dict.fromkeys(Difficulty, 0)
-    exhausted = dict.fromkeys(Difficulty, 0)
-    for p in range(config.sim_players):
-        profile = PlayerProfile(f"player-{p:03d}")
-        practice = practice_session(
-            profile,
-            practice_maze,
-            config.sim_policy,
-            seed=config.sim_seed + p,
-            easy_medium=config.easy_medium,
-            medium_hard=config.medium_hard,
-            positive_weights=config.positive_weights,
-            negative_weights=config.negative_weights,
-        )
-        log_events(profile.player_id, practice.game_id, practice.events)
-        for s in range(config.sim_sessions):
-            seed = config.sim_seed + 1009 + p * config.sim_sessions + s
-            try:
-                record = run_session(
-                    profile,
-                    library,
-                    trees,
-                    config.sim_policy,
-                    seed,
-                    recycle=config.sim_recycle,
-                    positive_weights=config.positive_weights,
-                    negative_weights=config.negative_weights,
-                )
-            except CurriculumComplete:
-                stop = "curriculum_complete"
-            except EmptyPool:
-                exhausted[profile.mastery] += 1
-                stop = "pool_exhausted"
-            else:
-                session_lines.append(json.dumps(record.to_record(), sort_keys=False))
-                log_events(profile.player_id, record.game_id, record.events)
-                victories += record.outcome == "victory"
-                recycled[record.difficulty] += record.recycled
-                continue
-            event_lines.append(json.dumps({"player_id": profile.player_id, "kind": stop}))
-            break
+        victories = 0
+        recycled = dict.fromkeys(Difficulty, 0)
+        exhausted = dict.fromkeys(Difficulty, 0)
+        for p in range(config.sim_players):
+            profile = PlayerProfile(f"player-{p:03d}")
+            practice = practice_session(
+                profile,
+                practice_maze,
+                config.sim_policy,
+                seed=config.sim_seed + p,
+                easy_medium=config.easy_medium,
+                medium_hard=config.medium_hard,
+                positive_weights=config.positive_weights,
+                negative_weights=config.negative_weights,
+            )
+            log_events(profile.player_id, practice.game_id, practice.events)
+            for s in range(config.sim_sessions):
+                seed = config.sim_seed + 1009 + p * config.sim_sessions + s
+                try:
+                    record = run_session(
+                        profile,
+                        library,
+                        trees,
+                        config.sim_policy,
+                        seed,
+                        recycle=config.sim_recycle,
+                        positive_weights=config.positive_weights,
+                        negative_weights=config.negative_weights,
+                    )
+                except CurriculumComplete:
+                    stop = "curriculum_complete"
+                except EmptyPool:
+                    exhausted[profile.mastery] += 1
+                    stop = "pool_exhausted"
+                else:
+                    session_lines.append(json.dumps(record.to_record(), sort_keys=False))
+                    log_events(profile.player_id, record.game_id, record.events)
+                    victories += record.outcome == "victory"
+                    recycled[record.difficulty] += record.recycled
+                    continue
+                event_lines.append(json.dumps({"player_id": profile.player_id, "kind": stop}))
+                break
 
     meta = {
         "players": config.sim_players,
@@ -712,6 +706,7 @@ def run_simulate(config: PipelineConfig, out: Path) -> None:
     }
     _write_jsonl(out, "sessions.jsonl", config_hash, session_lines, **meta)
     _write_jsonl(out, "events.jsonl", config_hash, event_lines, **meta)
+    logger.info("read %d of %d clusters and %d of %d library games", *library.read_counts())
     logger.info(
         "simulated %d sessions (%d victories) for %d players; recycled: %s; "
         "pools exhausted: %s; routing tables built for %d of %d library mazes",
@@ -721,25 +716,29 @@ def run_simulate(config: PipelineConfig, out: Path) -> None:
         _per_level(recycled),
         _per_level(exhausted),
         len(trees),
-        len(trees.games_on),
+        len(library.maze_ids),
     )
 
 
 def run_verify(config: PipelineConfig, out: Path) -> list[str]:
-    """One line for each maze the library uses that ``simulate`` would
-    refuse when a game on it is first served, in maze id order. The library
-    and mazes.jsonl are read as ``simulate`` reads them, so a file that it
-    would refuse raises as there."""
-    library, trees = _library_mazes(out, config.config_hash())
-    problems = []
-    for maze_id in sorted(trees.games_on):
-        try:
-            trees.checked(maze_id)
-        except MalformedArtifact as exc:
-            problems.append(str(exc))
+    """Check the whole library, as ``validate_library`` does, and raise on
+    its first broken rule; then one line for each maze the library uses
+    that ``simulate`` would refuse when a game on it is first served, in
+    maze id order. The files are read as ``simulate`` reads them, so a file
+    that it would refuse raises as there."""
+    config_hash = config.config_hash()
+    with _read(out, "library.sqlite", config_hash) as library:
+        validate_library(library)
+        trees = _PlayedTrees(out / "mazes.jsonl", _read(out, "mazes.jsonl", config_hash), library)
+        problems = []
+        for maze_id in library.maze_ids:
+            try:
+                trees.checked(maze_id)
+            except MalformedArtifact as exc:
+                problems.append(str(exc))
     logger.info(
         "verified %d mazes and %d library games: %d broken",
-        len(trees.games_on),
+        len(library.maze_ids),
         len(library.games),
         len(problems),
     )
@@ -916,7 +915,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
         for keyword, (option, settings) in flags.items():
             sub.add_argument(option, dest=keyword, **settings)
-    verify = subparsers.add_parser("verify", help="check every maze the library uses")
+    verify = subparsers.add_parser(
+        "verify", help="check the whole library and every maze it uses"
+    )
     _run_directory_flags(verify)
     verify.set_defaults(seed=None)
     init = subparsers.add_parser("init-config", help="print a commented default config")

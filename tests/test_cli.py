@@ -40,7 +40,13 @@ from segforge.contentspace import (
 )
 from segforge.engine import ActionTally, SessionRecord, SimEvent, maze_tree
 from segforge.knowledge import CompoundAnnotation
-from segforge.mapping import GameRecord, MappingEntry, load_library
+from segforge.mapping import (
+    ContentLibrary,
+    GameRecord,
+    MappingEntry,
+    load_library,
+    validate_library,
+)
 
 TEST_CONFIG = """\
 maze.count = 24
@@ -459,6 +465,130 @@ def test_broken_maze_stops_simulate_where_served_and_verify_always(
             assert (broken / name).read_bytes() == (out / name).read_bytes(), name
 
 
+# each defect of a library row, as the SQL that puts it on the game and
+# cluster bound to :game and :cluster
+LIBRARY_DEFECTS = {
+    "unknown-difficulty": "UPDATE games SET difficulty = 'eazy' WHERE game_id = :game",
+    "non-finite-complexity": "UPDATE games SET complexity = 9e999 WHERE game_id = :game",
+    "wrong-n": "UPDATE clusters SET n = n + 1 WHERE cluster_id = :cluster",
+    "missing-member": "DELETE FROM games WHERE game_id = :game",
+    "member-of-another-level": (
+        "UPDATE games SET difficulty = CASE difficulty WHEN 'hard' THEN 'easy' ELSE 'hard' END "
+        "WHERE game_id = :game"
+    ),
+}
+
+
+@pytest.mark.parametrize("served", [True, False], ids=["served", "unserved"])
+@pytest.mark.parametrize("defect", sorted(LIBRARY_DEFECTS))
+def test_broken_library_row_stops_simulate_where_served_and_verify_always(
+    workdir, tmp_path, capsys, monkeypatch, defect, served
+):
+    """One cluster of the unbroken run's library breaks, in its own row or
+    in a member's game row. simulate reads and checks a cluster, with its
+    members' game rows, when a session first serves it, and the game rows
+    on a maze when a game on that maze is first served. So the served
+    cluster is the first session's, and the unserved one is served by no
+    session and has a member on no maze a session plays; only the first
+    stops simulate. verify checks the whole library and names either. Both
+    close the library file, whether they return or raise."""
+    config, out = workdir
+    sessions = [json.loads(line) for line in (out / "sessions.jsonl").open()][1:]
+    maze_of = {row["game_id"]: row["maze_id"] for row in _read_rows(out / "games.csv")}
+    members: dict[str, list[str]] = {}
+    for row in _read_rows(out / "membership.csv"):
+        members.setdefault(row["cluster_id"], []).append(row["game_id"])
+    conn = sqlite3.connect(out / "library.sqlite")
+    mapping = conn.execute("SELECT compound_id, difficulty, cluster_id FROM mapping")
+    cluster_of = {(compound_id, level): cluster for compound_id, level, cluster in mapping}
+    conn.close()
+    if served:
+        game = sessions[0]["game_id"]
+        cluster = cluster_of[sessions[0]["compound_id"], sessions[0]["difficulty"]]
+    else:
+        served_clusters = {cluster_of[s["compound_id"], s["difficulty"]] for s in sessions}
+        played = {maze_of[s["game_id"]] for s in sessions}
+        cluster, game = min(
+            (cluster, game)
+            for cluster, games in members.items()
+            if cluster not in served_clusters
+            for game in games
+            if maze_of[game] not in played
+        )
+    assert game in members[cluster]
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    for name in ("library.sqlite", "mazes.jsonl"):
+        shutil.copyfile(out / name, broken / name)
+    conn = sqlite3.connect(broken / "library.sqlite")
+    assert conn.execute(LIBRARY_DEFECTS[defect], {"game": game, "cluster": cluster}).rowcount == 1
+    conn.commit()
+    conn.close()
+    opened = []
+
+    def recording_load(*args, **kwargs):
+        opened.append(load_library(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(cli, "load_library", recording_load)
+
+    simulated = main(["simulate", "--config", str(config), "--out", str(broken)])
+    simulate_err = capsys.readouterr().err
+    assert main(["verify", "--config", str(config), "--out", str(broken)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("segforge verify: ") and "library.sqlite" in err, err
+    if served:
+        assert simulated == 1
+        assert len(simulate_err.splitlines()) == 1
+        assert simulate_err.startswith("segforge simulate: "), simulate_err
+        assert "library.sqlite" in simulate_err and repr(cluster) in simulate_err, simulate_err
+        assert not (broken / "sessions.jsonl").exists()
+        assert not (broken / "events.jsonl").exists()
+    else:
+        assert (simulated, simulate_err) == (0, "")
+        for name in ("sessions.jsonl", "events.jsonl"):
+            assert (broken / name).read_bytes() == (out / name).read_bytes(), name
+    assert len(opened) == 2
+    for library in opened:
+        with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+            library._conn.execute("SELECT 1")
+
+
+def _whole_library(path: str, expected_config_hash: str | None = None) -> ContentLibrary:
+    """The library at ``path`` built whole in memory, every table read."""
+    with load_library(path, expected_config_hash) as stored:
+        whole = ContentLibrary(
+            stored.compounds, stored.games, stored.clusters, stored.mapping, stored.metadata
+        )
+    validate_library(whole)
+    return whole
+
+
+@pytest.mark.parametrize("policy", ["random", "greedy"])
+def test_library_read_on_demand_serves_as_the_whole_library(
+    workdir, tmp_path, monkeypatch, policy
+):
+    """Oracle: at a sim.seed other than the default, simulate over the
+    library built whole in memory from the same store writes the sessions
+    and events that it writes over the library read on demand."""
+    _, out = workdir
+    config = tmp_path / "oracle.conf"
+    config.write_text(TEST_CONFIG + f"sim.policy = {policy}\nsim.seed = 31337\n")
+    written = {}
+    for kind in ("on-demand", "whole"):
+        run = tmp_path / kind
+        run.mkdir()
+        for name in ("library.sqlite", "mazes.jsonl"):
+            shutil.copyfile(out / name, run / name)
+        if kind == "whole":
+            monkeypatch.setattr(cli, "load_library", _whole_library)
+        assert main(["simulate", "--config", str(config), "--out", str(run)]) == 0
+        written[kind] = [(run / name).read_bytes() for name in ("sessions.jsonl", "events.jsonl")]
+    assert written["on-demand"] == written["whole"]
+    assert written["whole"][0] != (out / "sessions.jsonl").read_bytes()
+
+
 @pytest.mark.parametrize("text", ["", "nan", "-inf"], ids=["blank", "nan", "inf"])
 def test_space_with_bad_feature_text_fails_in_categorize(workdir, tmp_path, capsys, text):
     config, out = workdir
@@ -547,11 +677,11 @@ def test_game_with_unknown_difficulty_fails_cleanly(
     broken = tmp_path / "eazy"
     shutil.copytree(out, broken)
     if name == "library.sqlite":
+        # a game that the first session serves: simulate reads a game row
+        # when it first serves the game's cluster
+        served = json.loads((out / "sessions.jsonl").read_text().splitlines()[1])["game_id"]
         conn = sqlite3.connect(broken / name)
-        conn.execute(
-            "UPDATE games SET difficulty = 'eazy' WHERE game_id = "
-            "(SELECT MIN(game_id) FROM games WHERE difficulty = 'easy')"
-        )
+        conn.execute("UPDATE games SET difficulty = 'eazy' WHERE game_id = ?", (served,))
         conn.commit()
         conn.close()
         where = "library.sqlite"

@@ -148,6 +148,33 @@ def test_simulate_counts_the_mazes_it_built_tables_for(golden_run, tmp_path, cap
     assert any(message.endswith(expected) for message in caplog.messages), caplog.messages
 
 
+def test_simulate_counts_the_clusters_and_games_it_read(golden_run, tmp_path, caplog):
+    """simulate reads from the library the clusters that its sessions are
+    served from, with their members' game rows, and the game rows on the
+    mazes it plays; a log line counts both out of the library's."""
+    config = tmp_path / "golden.conf"
+    config.write_text(GOLDEN_CONFIG)
+    for name in ("library.sqlite", "mazes.jsonl"):
+        shutil.copyfile(golden_run / name, tmp_path / name)
+    with caplog.at_level(logging.INFO, logger="segforge.cli"):
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 0
+    with load_library(str(golden_run / "library.sqlite")) as library:
+        cluster_of = {(m.compound_id, m.difficulty): m.cluster_id for m in library.mapping}
+        members = {c.cluster_id: c.member_game_ids for c in library.clusters}
+        maze_of = {game.game_id: game.maze_id for game in library.games}
+    lines = (tmp_path / "sessions.jsonl").read_text().splitlines()[1:]
+    sessions = [json.loads(line) for line in lines]
+    served = {cluster_of[s["compound_id"], s["difficulty"]] for s in sessions}
+    played = {maze_of[s["game_id"]] for s in sessions}
+    read = {g for c in served for g in members[c]} | {g for g, m in maze_of.items() if m in played}
+    assert 0 < len(served) < len(members) and len(read) < len(maze_of)
+    expected = (
+        f"read {len(served)} of {len(members)} clusters and {len(read)} of {len(maze_of)} "
+        "library games"
+    )
+    assert expected in caplog.messages, caplog.messages
+
+
 def test_verify_finds_the_golden_run_whole_and_changes_nothing(golden_run, tmp_path, capsys, caplog):
     """verify checks every maze the library uses against its record and the
     library games on it, and writes nothing: no line on stderr, no warning,

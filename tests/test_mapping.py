@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import sqlite3
 
 import pytest
 
 from segforge.clustering import ClusterSummary
+from segforge.contentspace import Difficulty
 from segforge.knowledge import CompoundAnnotation
 from segforge.mapping import (
     CardinalityMismatch,
@@ -220,6 +222,16 @@ def test_save_is_deterministic(tmp_path) -> None:
         assert fa.read() == fb.read()
 
 
+def _served_and_validated(path: str):
+    """The two ways to meet a defect that a stored library finds when a
+    cluster is first served: serving compound 1 at 'easy', whose cluster is
+    easy-000, and validating the whole library. Loading finds none."""
+    return (
+        lambda: load_library(path).cluster_for(1, Difficulty.EASY),
+        lambda: validate_library(load_library(path)),
+    )
+
+
 def test_load_rejects_corrupt_file(tmp_path) -> None:
     path = tmp_path / "broken.sqlite"
     path.write_text("this is not a database")
@@ -243,8 +255,41 @@ def test_load_rejects_a_number_that_is_not_finite(tmp_path, table, column, value
     conn.execute(f"UPDATE {table} SET {column} = ?", (value,))
     conn.commit()
     conn.close()
-    with pytest.raises(CorruptStore, match="not a finite number"):
-        load_library(path)
+    for check in _served_and_validated(path):
+        with pytest.raises(CorruptStore, match="not a finite number"):
+            check()
+
+
+def test_load_neither_creates_nor_changes_the_file(tmp_path) -> None:
+    library = _tiny_library()
+    path = tmp_path / "library.sqlite"
+    save_library(library, str(path))
+    path.chmod(0o444)
+    before = path.read_bytes(), path.stat().st_mtime_ns
+    with load_library(str(path)) as loaded:
+        assert loaded.cluster_for(2, Difficulty.HARD).member_game_ids == ("hard-g2", "hard-g3")
+        assert loaded.game("hard-g3") == library.game("hard-g3")
+        validate_library(loaded)
+        assert loaded == library
+        # refused even where the file's mode is not, as for root
+        with pytest.raises(sqlite3.OperationalError, match="readonly"):
+            loaded._conn.execute("CREATE TABLE probe (x)")
+    assert (path.read_bytes(), path.stat().st_mtime_ns) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["library.sqlite"]
+    absent = tmp_path / "absent.sqlite"
+    with pytest.raises(CorruptStore):
+        load_library(str(absent))
+    assert not absent.exists()
+
+
+def test_closed_library_reads_no_more_rows(tmp_path) -> None:
+    path = str(tmp_path / "library.sqlite")
+    save_library(_tiny_library(), path)
+    with load_library(path) as library:
+        served = library.cluster_for(1, Difficulty.EASY)
+    assert library.cluster_for(1, Difficulty.EASY) == served
+    with pytest.raises(CorruptStore, match="closed"):
+        library.cluster_for(2, Difficulty.EASY)
 
 
 def test_load_rejects_missing_file(tmp_path) -> None:
@@ -260,8 +305,9 @@ def test_load_detects_dangling_membership(tmp_path) -> None:
     conn.execute("DELETE FROM games WHERE game_id = 'easy-g1'")
     conn.commit()
     conn.close()
-    with pytest.raises(IntegrityViolation):
-        load_library(path)
+    for check in _served_and_validated(path):
+        with pytest.raises(IntegrityViolation):
+            check()
 
 
 def test_load_detects_cluster_size_lie(tmp_path) -> None:
@@ -272,8 +318,9 @@ def test_load_detects_cluster_size_lie(tmp_path) -> None:
     conn.execute("UPDATE clusters SET n = 9 WHERE cluster_id = 'easy-000'")
     conn.commit()
     conn.close()
-    with pytest.raises(IntegrityViolation):
-        load_library(path)
+    for check in _served_and_validated(path):
+        with pytest.raises(IntegrityViolation):
+            check()
 
 
 def test_load_detects_mapping_to_unknown_cluster(tmp_path) -> None:
@@ -298,8 +345,9 @@ def test_load_detects_member_game_of_another_level(tmp_path) -> None:
     conn.execute("UPDATE games SET difficulty = 'hard' WHERE game_id = 'easy-g1'")
     conn.commit()
     conn.close()
-    with pytest.raises(IntegrityViolation, match="easy-g1"):
-        load_library(path)
+    for check in _served_and_validated(path):
+        with pytest.raises(IntegrityViolation, match="easy-g1"):
+            check()
 
 
 def test_load_detects_mapping_to_cluster_of_another_level(tmp_path) -> None:
@@ -341,8 +389,9 @@ def test_load_detects_game_in_no_cluster(tmp_path) -> None:
         "INSERT INTO games SELECT * FROM copy;"
     )
     conn.close()
+    # no cluster serves it, so only the whole library's check finds it
     with pytest.raises(IntegrityViolation, match="'easy-g9' belongs to no cluster"):
-        load_library(path)
+        validate_library(load_library(path))
 
 
 def test_validate_rejects_game_in_two_clusters() -> None:
