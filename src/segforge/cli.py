@@ -30,7 +30,9 @@ import os
 import pickle
 import signal
 import sys
+from contextlib import nullcontext
 from dataclasses import astuple, dataclass, field, fields, replace
+from functools import partial
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable
@@ -74,6 +76,7 @@ from .gamestats import analyze_sessions, format_report, report_rows
 from .knowledge import CompoundAnnotation, annotate_dataset
 from .mapping import (
     ContentLibrary,
+    CorruptStore,
     GameRecord,
     deploy,
     export_json,
@@ -403,12 +406,19 @@ def run_cluster(config: PipelineConfig, out: Path) -> None:
         work[level] = (tags, scaler.transform([raw[tag] for tag in tags]))
     if collecting:
         gc.disable()
+    parts = [work]
+    if _usable_cpus() > 1:
+        # the level of the most games here, so that this process's own peak
+        # memory and timings still cover the stage's largest level, and the
+        # other two, one after the other, in one child
+        own = max(work, key=lambda level: len(work[level][0]))
+        parts = [{own: work[own]}, {level: t for level, t in work.items() if level != own}]
+    jobs = [
+        (f"clustering {' and '.join(map(str, part))}", partial(_search_levels, config, part))
+        for part in parts
+    ]
     try:
-        # without os.sched_getaffinity (not Linux) or a second CPU, no fork
-        if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
-            outcomes = _search_in_two_processes(config, work)
-        else:
-            outcomes = _search_levels(config, work)
+        outcomes = {level: result for part in _in_processes(jobs) for level, result in part.items()}
     finally:
         if collecting:
             gc.enable()
@@ -471,57 +481,75 @@ def _search_levels(
     return outcomes
 
 
-def _search_in_two_processes(
-    config: PipelineConfig, work: _LevelWork
-) -> dict[Difficulty, ThresholdSearchResult | Exception]:
-    """``_search_levels`` with the level of the most games searched in this
-    process and the others, in order, in one forked child.
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: 1 where the platform cannot tell
+    (no ``os.sched_getaffinity``, as off Linux)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
-    This process keeps the largest search, so its own peak memory and its
-    own timings still cover the stage's largest level. The child sends its
-    outcomes back pickled over a pipe and ends with ``os._exit``: it never
-    runs this process's ``finally`` blocks or exit handlers, and never
-    flushes the stdio buffers it inherited.
+
+def _in_processes(jobs: list[tuple[str, Callable[[], object]]]) -> list:
+    """The outcome of each job, in job order. A job is the words for what it
+    does, which messages use, and a function that does it and returns a
+    picklable outcome.
+
+    Job 0 runs in this process and every other job in a child of its own,
+    all forked before job 0 starts. Where a fork fails, a warning names the
+    jobs left and they run here, after job 0. A child sends its outcome back
+    pickled over a pipe and ends with ``os._exit``: it never runs this
+    process's ``finally`` blocks or exit handlers, and never flushes the
+    stdio buffers it inherited. A child that ends without sending its
+    outcome raises SegforgeError naming its job. Whether this returns or
+    raises, every child has been reaped, and one not yet reaped is killed.
     """
-    own = max(work, key=lambda level: len(work[level][0]))
-    forked = {level: task for level, task in work.items() if level != own}
-    read_fd, write_fd = os.pipe()
+    here = [0]
+    children: list[tuple[int, int, io.BufferedReader]] = []  # job, pid, read end
+    reaped = set()
     try:
-        pid = os.fork()
-    except OSError as exc:  # no process to spare: the same searches, one by one
-        os.close(read_fd)
-        os.close(write_fd)
-        logger.warning("cannot fork (%s); searching every level in this process", exc.strerror)
-        return _search_levels(config, work)
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            payload = pickle.dumps(_search_levels(config, forked))
-            with open(write_fd, "wb") as pipe:
-                pipe.write(payload)
-            status = 0
-        finally:
-            os._exit(status)
-
-    os.close(write_fd)
-    reaped = False
-    try:
-        with open(read_fd, "rb") as pipe:
-            outcomes = _search_levels(config, {own: work[own]})
-            # the child blocks on a full pipe until this read drains it
-            payload = pipe.read()
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        reaped = True
+        for index in range(1, len(jobs)):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError as exc:
+                os.close(read_fd)
+                os.close(write_fd)
+                here += range(index, len(jobs))
+                left = " and ".join(what for what, _ in jobs[index:])
+                logger.warning("cannot fork (%s); %s in this process", exc.strerror, left)
+                break
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read_fd)
+                    with open(write_fd, "wb") as pipe:
+                        pickle.dump(jobs[index][1](), pipe)
+                    status = 0
+                finally:
+                    os._exit(status)
+            # closed before the next fork, so that the child holds the only
+            # write end and the pipe ends when the child does
+            os.close(write_fd)
+            children.append((index, pid, open(read_fd, "rb")))
+        outcomes = {index: jobs[index][1]() for index in here}
+        for index, pid, pipe in children:
+            try:
+                # read as it arrives; the child blocks on a full pipe until then
+                outcomes[index] = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                pass  # cut short: the exit status says why
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reaped.add(pid)
+            if code != 0:
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                raise SegforgeError(
+                    f"the process {jobs[index][0]} {how} before sending its result"
+                )
     finally:
-        if not reaped:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    if code != 0:
-        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-        names = " and ".join(str(level) for level in forked)
-        raise SegforgeError(f"the process clustering {names} {how} before sending its result")
-    return {**pickle.loads(payload), **outcomes}
+        for _, pid, pipe in children:
+            pipe.close()
+            if pid not in reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return [outcomes[index] for index in range(len(jobs))]
 
 
 def run_map(config: PipelineConfig, out: Path) -> None:
@@ -639,107 +667,177 @@ def _per_level(counts: dict[Difficulty, int]) -> str:
     return ", ".join(f"{level} {count}" for level, count in counts.items())
 
 
+@dataclass
+class _Cohort:
+    """What a range of players played: their sessions.jsonl and events.jsonl
+    lines, in player order, the counts that simulate's closing line sums,
+    and the ids of the clusters served, the library games read and the
+    mazes whose routing tables were built, which it counts over all ranges
+    as one set each."""
+
+    sessions: list[str] = field(default_factory=list)
+    events: list[str] = field(default_factory=list)
+    victories: int = 0
+    recycled: dict[Difficulty, int] = field(default_factory=lambda: dict.fromkeys(Difficulty, 0))
+    exhausted: dict[Difficulty, int] = field(default_factory=lambda: dict.fromkeys(Difficulty, 0))
+    clusters: set[str] = field(default_factory=set)
+    games: set[str] = field(default_factory=set)
+    mazes: set[str] = field(default_factory=set)
+
+
+def _play(
+    config: PipelineConfig,
+    library: ContentLibrary,
+    trees: _PlayedTrees,
+    practice_maze: MazeTree,
+    players: range,
+) -> _Cohort:
+    """The practice game and curriculum sessions of each of ``players``, who
+    depend on nothing but their own profiles, their seeds and the library."""
+    cohort = _Cohort()
+
+    def log_events(player_id: str, game_id: str, events) -> None:
+        cohort.events.extend(
+            json.dumps({"player_id": player_id, "game_id": game_id, **vars(event)})
+            for event in events
+        )
+
+    for p in players:
+        profile = PlayerProfile(f"player-{p:03d}")
+        practice = practice_session(
+            profile,
+            practice_maze,
+            config.sim_policy,
+            seed=config.sim_seed + p,
+            easy_medium=config.easy_medium,
+            medium_hard=config.medium_hard,
+            positive_weights=config.positive_weights,
+            negative_weights=config.negative_weights,
+        )
+        log_events(profile.player_id, practice.game_id, practice.events)
+        for s in range(config.sim_sessions):
+            seed = config.sim_seed + 1009 + p * config.sim_sessions + s
+            try:
+                record = run_session(
+                    profile,
+                    library,
+                    trees,
+                    config.sim_policy,
+                    seed,
+                    recycle=config.sim_recycle,
+                    positive_weights=config.positive_weights,
+                    negative_weights=config.negative_weights,
+                )
+            except CurriculumComplete:
+                stop = "curriculum_complete"
+            except EmptyPool:
+                cohort.exhausted[profile.mastery] += 1
+                stop = "pool_exhausted"
+            else:
+                cohort.sessions.append(json.dumps(record.to_record(), sort_keys=False))
+                log_events(profile.player_id, record.game_id, record.events)
+                cohort.victories += record.outcome == "victory"
+                cohort.recycled[record.difficulty] += record.recycled
+                continue
+            cohort.events.append(json.dumps({"player_id": profile.player_id, "kind": stop}))
+            break
+    cohort.clusters, cohort.games = library.read_ids()
+    cohort.mazes = set(trees)
+    return cohort
+
+
+def _player_names(players: range) -> str:
+    first, last = (f"player-{p:03d}" for p in (players[0], players[-1]))
+    return first if first == last else f"{first} to {last}"
+
+
 def run_simulate(config: PipelineConfig, out: Path) -> None:
     config_hash = config.config_hash()
+    path = out / "mazes.jsonl"
     # a cluster and a maze are read and checked when a session first serves
     # them; verify checks the rest
     with _read(out, "library.sqlite", config_hash) as library:
-        trees = _PlayedTrees(out / "mazes.jsonl", _read(out, "mazes.jsonl", config_hash), library)
+        records = _read(out, "mazes.jsonl", config_hash)
         practice_maze = practice_tree()
 
-        session_lines: list[str] = []
-        event_lines: list[str] = []
-
-        def log_events(player_id: str, game_id: str, events) -> None:
-            event_lines.extend(
-                json.dumps({"player_id": player_id, "game_id": game_id, **vars(event)})
-                for event in events
-            )
-
-        victories = 0
-        recycled = dict.fromkeys(Difficulty, 0)
-        exhausted = dict.fromkeys(Difficulty, 0)
-        for p in range(config.sim_players):
-            profile = PlayerProfile(f"player-{p:03d}")
-            practice = practice_session(
-                profile,
-                practice_maze,
-                config.sim_policy,
-                seed=config.sim_seed + p,
-                easy_medium=config.easy_medium,
-                medium_hard=config.medium_hard,
-                positive_weights=config.positive_weights,
-                negative_weights=config.negative_weights,
-            )
-            log_events(profile.player_id, practice.game_id, practice.events)
-            for s in range(config.sim_sessions):
-                seed = config.sim_seed + 1009 + p * config.sim_sessions + s
-                try:
-                    record = run_session(
-                        profile,
-                        library,
-                        trees,
-                        config.sim_policy,
-                        seed,
-                        recycle=config.sim_recycle,
-                        positive_weights=config.positive_weights,
-                        negative_weights=config.negative_weights,
+        def play(players: range) -> _Cohort | Exception:
+            try:
+                # every range but the first reads through a connection of
+                # its own, as a forked child must
+                with library.reopened() if players.start else nullcontext(library) as own:
+                    return _play(
+                        config, own, _PlayedTrees(path, records, own), practice_maze, players
                     )
-                except CurriculumComplete:
-                    stop = "curriculum_complete"
-                except EmptyPool:
-                    exhausted[profile.mastery] += 1
-                    stop = "pool_exhausted"
-                else:
-                    session_lines.append(json.dumps(record.to_record(), sort_keys=False))
-                    log_events(profile.player_id, record.game_id, record.events)
-                    victories += record.outcome == "victory"
-                    recycled[record.difficulty] += record.recycled
-                    continue
-                event_lines.append(json.dumps({"player_id": profile.player_id, "kind": stop}))
-                break
+            except Exception as exc:  # raised below, in player order
+                return exc
 
+        # contiguous ranges of near-equal size, one for each usable CPU
+        count = min(_usable_cpus(), config.sim_players)
+        cuts = [config.sim_players * i // count for i in range(count + 1)]
+        ranges = [range(start, end) for start, end in zip(cuts, cuts[1:])]
+        cohorts = _in_processes([(f"playing {_player_names(r)}", partial(play, r)) for r in ranges])
+    # the first error of the lowest range is the one that stops a run on one
+    # CPU, which plays the players in order
+    for cohort in cohorts:
+        if isinstance(cohort, Exception):
+            raise cohort
+
+    sessions = [line for cohort in cohorts for line in cohort.sessions]
     meta = {
         "players": config.sim_players,
         "sessions_per_player": config.sim_sessions,
         "policy": config.sim_policy,
     }
-    _write_jsonl(out, "sessions.jsonl", config_hash, session_lines, **meta)
-    _write_jsonl(out, "events.jsonl", config_hash, event_lines, **meta)
-    logger.info("read %d of %d clusters and %d of %d library games", *library.read_counts())
+    _write_jsonl(out, "sessions.jsonl", config_hash, sessions, **meta)
+    events = [line for cohort in cohorts for line in cohort.events]
+    _write_jsonl(out, "events.jsonl", config_hash, events, **meta)
+    logger.info(
+        "read %d of %d clusters and %d of %d library games",
+        len(set().union(*(cohort.clusters for cohort in cohorts))),
+        library.cluster_count,
+        len(set().union(*(cohort.games for cohort in cohorts))),
+        library.game_count,
+    )
     logger.info(
         "simulated %d sessions (%d victories) for %d players; recycled: %s; "
         "pools exhausted: %s; routing tables built for %d of %d library mazes",
-        len(session_lines),
-        victories,
+        len(sessions),
+        sum(cohort.victories for cohort in cohorts),
         config.sim_players,
-        _per_level(recycled),
-        _per_level(exhausted),
-        len(trees),
+        _per_level({level: sum(c.recycled[level] for c in cohorts) for level in Difficulty}),
+        _per_level({level: sum(c.exhausted[level] for c in cohorts) for level in Difficulty}),
+        len(set().union(*(cohort.mazes for cohort in cohorts))),
         len(library.maze_ids),
     )
 
 
 def run_verify(config: PipelineConfig, out: Path) -> list[str]:
-    """Check the whole library, as ``validate_library`` does, and raise on
-    its first broken rule; then one line for each maze the library uses
-    that ``simulate`` would refuse when a game on it is first served, in
-    maze id order. The files are read as ``simulate`` reads them, so a file
-    that it would refuse raises as there."""
+    """One line for the library's first broken rule, if it has one, as
+    ``validate_library`` finds it; then one line for each maze the library
+    uses that ``simulate`` would refuse when a game on it is first served,
+    in maze id order, but for a library game row on it that does not
+    decode, which the library's line covers. The files are read as
+    ``simulate`` reads them, so a file that it would refuse raises as
+    there."""
     config_hash = config.config_hash()
     with _read(out, "library.sqlite", config_hash) as library:
-        validate_library(library)
-        trees = _PlayedTrees(out / "mazes.jsonl", _read(out, "mazes.jsonl", config_hash), library)
         problems = []
+        try:
+            validate_library(library)
+        except SegforgeError as exc:
+            problems.append(str(exc))
+        trees = _PlayedTrees(out / "mazes.jsonl", _read(out, "mazes.jsonl", config_hash), library)
         for maze_id in library.maze_ids:
             try:
                 trees.checked(maze_id)
             except MalformedArtifact as exc:
                 problems.append(str(exc))
+            except CorruptStore:
+                pass  # a game row on the maze that does not decode: the library's line names it
     logger.info(
         "verified %d mazes and %d library games: %d broken",
         len(library.maze_ids),
-        len(library.games),
+        library.game_count,
         len(problems),
     )
     return problems

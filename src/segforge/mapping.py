@@ -235,6 +235,10 @@ class ContentLibrary:
     def compound_count(self) -> int:
         return len(self._compound_ids)
 
+    @property
+    def cluster_count(self) -> int:
+        return len(self._cluster_levels)
+
     def game(self, game_id: str) -> GameRecord:
         """A game of a cluster already served, or of a table read whole."""
         return self._games_by_id[game_id]
@@ -280,13 +284,34 @@ class ContentLibrary:
                 self._by_maze.setdefault(game.maze_id, []).append(game)
         return self._by_maze.get(maze_id, [])
 
-    def read_counts(self) -> tuple[int, int, int, int]:
-        """The clusters served so far and all clusters; the games read so
+    def read_ids(self) -> tuple[set[str], set[str]]:
+        """The ids of the clusters served so far, and of the games read so
         far, as members of a served cluster or as games on a maze that
-        ``games_on`` was asked for, and all games. A library in memory has
-        read every game."""
-        clusters = len(self._cluster_levels)
-        return len(self._served), clusters, len(self._games_by_id), self.game_count
+        ``games_on`` was asked for. A library in memory has read every
+        game."""
+        return set(self._served), set(self._games_by_id)
+
+    def reopened(self) -> ContentLibrary:
+        """This library on a read-only connection of its own to the same
+        file, with only what opening reads already read. A forked process
+        reads through it, never through the connection it inherited
+        (https://www.sqlite.org/howtocorrupt.html, section 2.6), which it
+        leaves unused and open. A library in memory has no file: it is
+        returned as it is."""
+        if self._conn is None:
+            return self
+        library = ContentLibrary.__new__(ContentLibrary)
+        library._start(
+            _connect(self._path),
+            self._path,
+            self.mapping,
+            self.metadata,
+            compound_ids=self._compound_ids,
+            cluster_levels=self._cluster_levels,
+            maze_ids=self.maze_ids,
+            game_count=self.game_count,
+        )
+        return library
 
     def close(self) -> None:
         """Close the library file; a row not read yet can no longer be."""
@@ -598,6 +623,17 @@ def save_library(library: ContentLibrary, path: str) -> None:
             conn.close()
 
 
+def _connect(path: str) -> sqlite3.Connection:
+    """A read-only connection to the library file at ``path``."""
+    with _store_errors(path):
+        # mode=ro: sqlite neither creates the file nor writes to it
+        conn = sqlite3.connect(Path(path).absolute().as_uri() + "?mode=ro", uri=True)
+        # each row is read about once, so a page cache of 64 KiB serves as
+        # well as the default 2 MiB and holds little while the file is open
+        conn.execute("PRAGMA cache_size = -64")
+    return conn
+
+
 def load_library(path: str, expected_config_hash: str | None = None) -> ContentLibrary:
     """Open a saved library read-only; its rows are read on demand.
 
@@ -612,12 +648,7 @@ def load_library(path: str, expected_config_hash: str | None = None) -> ContentL
     """
     if not os.path.exists(path):
         raise CorruptStore(f"no library file at {path!r}")
-    with _store_errors(path):
-        # mode=ro: sqlite neither creates the file nor writes to it
-        conn = sqlite3.connect(Path(path).absolute().as_uri() + "?mode=ro", uri=True)
-        # each row is read about once, so a page cache of 64 KiB serves as
-        # well as the default 2 MiB and holds little while the file is open
-        conn.execute("PRAGMA cache_size = -64")
+    conn = _connect(path)
     try:
         library = ContentLibrary._opened(conn, path)
     except BaseException:

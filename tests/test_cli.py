@@ -18,6 +18,7 @@ import sqlite3
 import stat
 import subprocess
 import sys
+import time
 import weakref
 from collections import Counter
 from dataclasses import fields
@@ -555,6 +556,39 @@ def test_broken_library_row_stops_simulate_where_served_and_verify_always(
             library._conn.execute("SELECT 1")
 
 
+@pytest.mark.parametrize("defect", sorted(LIBRARY_DEFECTS))
+def test_verify_names_a_broken_library_row_and_still_checks_every_maze(
+    workdir, tmp_path, capsys, defect
+):
+    """A broken library row and a maze whose cells do not decode, on a maze
+    other than the row's game's: verify prints the library's line, then
+    checks every maze and prints the maze's line."""
+    config, out = workdir
+    maze_of = {row["game_id"]: row["maze_id"] for row in _read_rows(out / "games.csv")}
+    cluster, game = min((row["cluster_id"], row["game_id"]) for row in _read_rows(out / "membership.csv"))
+    maze_id = min(set(maze_of.values()) - {maze_of[game]})
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    shutil.copyfile(out / "library.sqlite", broken / "library.sqlite")
+    conn = sqlite3.connect(broken / "library.sqlite")
+    assert conn.execute(LIBRARY_DEFECTS[defect], {"game": game, "cluster": cluster}).rowcount == 1
+    conn.commit()
+    conn.close()
+    lines = (out / "mazes.jsonl").read_text().splitlines()
+    index = next(i for i, line in enumerate(lines) if json.loads(line).get("maze_id") == maze_id)
+    record = json.loads(lines[index])
+    record["cells"] = record["cells"][:-1]
+    lines[index] = json.dumps(record)
+    (broken / "mazes.jsonl").write_text("\n".join(lines) + "\n")
+
+    assert main(["verify", "--config", str(config), "--out", str(broken)]) == 1
+    library_line, maze_line = capsys.readouterr().err.splitlines()
+    assert library_line.startswith("segforge verify: ") and "library.sqlite" in library_line
+    assert maze_line.startswith(
+        f"segforge verify: mazes.jsonl line {index + 1}: maze {maze_id!r}: ValueError"
+    ), maze_line
+
+
 def _whole_library(path: str, expected_config_hash: str | None = None) -> ContentLibrary:
     """The library at ``path`` built whole in memory, every table read."""
     with load_library(path, expected_config_hash) as stored:
@@ -985,6 +1019,8 @@ def test_simulate_builds_tables_only_for_played_mazes(workdir, tmp_path, monkeyp
     run.mkdir()
     for name in ("library.sqlite", "mazes.jsonl"):
         shutil.copyfile(out / name, run / name)
+    # on one CPU, so that every maze_tree call is made in this process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     built = []
 
     def counting_maze_tree(grid):
@@ -1001,6 +1037,43 @@ def test_simulate_builds_tables_only_for_played_mazes(workdir, tmp_path, monkeyp
     # a maze is decoded and checked when its tables are built: once for each
     # played maze, and for no other
     assert Counter(built) == Counter(played)
+
+
+def test_forked_simulate_builds_tables_only_for_played_mazes(workdir, tmp_path, monkeypatch, caplog):
+    """The same rule with the players split over two processes, each of
+    which builds the tables of the mazes that its own players play: the
+    closing line counts them once over both, as the mazes played. The
+    child reads the library through a connection that it opened itself."""
+    config, out = workdir
+    run = tmp_path / "run"
+    run.mkdir()
+    for name in ("library.sqlite", "mazes.jsonl"):
+        shutil.copyfile(out / name, run / name)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    reopens = tmp_path / "reopens"
+    real_reopened = ContentLibrary.reopened
+
+    def reopened(self):
+        with reopens.open("a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return real_reopened(self)
+
+    monkeypatch.setattr(ContentLibrary, "reopened", reopened)
+    with caplog.at_level(logging.INFO, logger="segforge.cli"):
+        assert main(["simulate", "--config", str(config), "--out", str(run)]) == 0
+    assert forks == [1]
+    (child,) = reopens.read_text().split()
+    assert int(child) != os.getpid()
+    assert (run / "sessions.jsonl").read_bytes() == (out / "sessions.jsonl").read_bytes()
+    maze_of = {row["game_id"]: row["maze_id"] for row in _read_rows(out / "games.csv")}
+    sessions = [json.loads(line) for line in (run / "sessions.jsonl").open()][1:]
+    played = {maze_of[s["game_id"]] for s in sessions}
+    library = set(maze_of.values())
+    expected = f"routing tables built for {len(played)} of {len(library)} library mazes"
+    assert caplog.messages[-1].endswith(expected), caplog.messages
 
 
 class _Node:
@@ -1160,6 +1233,129 @@ def test_stopped_search_leaves_no_process(workdir, tmp_path, monkeypatch, capsys
         os.waitpid(-1, os.WNOHANG)
     assert not (tmp_path / ".segforge.lock").exists()
     assert not (tmp_path / "clusters.csv").exists()
+
+
+def _simulate_run(workdir, run: Path) -> Path:
+    """``run``, made and given the unbroken run's library and mazes."""
+    _, out = workdir
+    run.mkdir()
+    for name in ("library.sqlite", "mazes.jsonl"):
+        shutil.copyfile(out / name, run / name)
+    return run
+
+
+@pytest.mark.parametrize("stop", ["child-killed", "parent-interrupted"])
+def test_stopped_simulate_leaves_no_process(workdir, tmp_path, monkeypatch, capsys, stop):
+    """On two CPUs, this process plays players 0 and 1 and a forked child
+    players 2 and 3. An interrupted run does not wait for the child, which
+    it kills: here the child would take a minute."""
+    config, _ = workdir
+    run = _simulate_run(workdir, tmp_path / "run")
+    real_practice = cli.practice_session
+    parent = os.getpid()
+
+    def practice(profile, *args, **kwargs):
+        if stop == "child-killed" and profile.player_id == "player-003":
+            assert os.getpid() != parent, "player-003 played without a fork"
+            os.kill(os.getpid(), signal.SIGKILL)
+        if stop == "parent-interrupted" and profile.player_id == "player-002":
+            assert os.getpid() != parent, "player-002 played without a fork"
+            time.sleep(60)
+        if stop == "parent-interrupted" and profile.player_id == "player-001":
+            assert os.getpid() == parent, "player-001 played in the child"
+            raise KeyboardInterrupt
+        return real_practice(profile, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "practice_session", practice)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    argv = ["simulate", "--config", str(config), "--out", str(run)]
+    if stop == "child-killed":
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "segforge simulate: the process playing player-002 to player-003 was killed by"
+            f" signal {int(signal.SIGKILL)} before sending its result\n"
+        )
+    else:
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+        assert time.monotonic() - started < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not (run / ".segforge.lock").exists()
+    assert not (run / "sessions.jsonl").exists()
+    assert not (run / "events.jsonl").exists()
+
+
+@pytest.mark.parametrize("broken", ["cluster", "maze", "cluster-in-each"])
+def test_broken_content_served_only_in_the_child_reads_as_in_one_process(
+    workdir, tmp_path, monkeypatch, capsys, broken
+):
+    """At sim.seed 31337, players 2 and 3, whom a forked child plays on two
+    CPUs, serve a cluster and play a maze that players 0 and 1 do not; 0
+    and 1 serve a cluster that 2 and 3 do not. The child's cluster or maze,
+    broken, or the child's cluster and this process's, each with a wrong
+    n, stop simulate with the one line it stops with on one CPU: the error
+    of the lowest players. Only this process lets the lock go."""
+    config = tmp_path / "seed.conf"
+    config.write_text(TEST_CONFIG + "sim.seed = 31337\n")
+    _, out = workdir
+    unbroken = _simulate_run(workdir, tmp_path / "unbroken")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert main(["simulate", "--config", str(config), "--out", str(unbroken)]) == 0
+    sessions = [json.loads(line) for line in (unbroken / "sessions.jsonl").open()][1:]
+    maze_of = {row["game_id"]: row["maze_id"] for row in _read_rows(out / "games.csv")}
+    conn = sqlite3.connect(out / "library.sqlite")
+    mapping = conn.execute("SELECT compound_id, difficulty, cluster_id FROM mapping")
+    cluster_of = {(compound_id, level): cluster for compound_id, level, cluster in mapping}
+    conn.close()
+    served = {True: set(), False: set()}  # by the child's players, and by the others
+    for s in sessions:
+        in_child = s["player_id"] in ("player-002", "player-003")
+        cluster = cluster_of[s["compound_id"], s["difficulty"]]
+        served[in_child] |= {maze_of[s["game_id"]] if broken == "maze" else cluster}
+    target = min(served[True] - served[False])
+    first = min(served[False] - served[True]) if broken == "cluster-in-each" else target
+
+    run = _simulate_run(workdir, tmp_path / "broken")
+    if broken == "maze":
+        lines = (run / "mazes.jsonl").read_text().splitlines()
+        index = next(i for i, line in enumerate(lines) if json.loads(line).get("maze_id") == target)
+        record = json.loads(lines[index])
+        record["cells"] = record["cells"][:-1]
+        lines[index] = json.dumps(record)
+        (run / "mazes.jsonl").write_text("\n".join(lines) + "\n")
+    else:
+        conn = sqlite3.connect(run / "library.sqlite")
+        for cluster in {target, first}:
+            conn.execute("UPDATE clusters SET n = n + 1 WHERE cluster_id = ?", (cluster,))
+        conn.commit()
+        conn.close()
+    real_exit = cli._WorkspaceLock.__exit__
+    exits = tmp_path / "lock_exits"
+
+    def lock_exit(self, *exc_info):
+        with exits.open("a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return real_exit(self, *exc_info)
+
+    monkeypatch.setattr(cli._WorkspaceLock, "__exit__", lock_exit)
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    errors = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        assert main(["simulate", "--config", str(config), "--out", str(run)]) == 1
+        errors.append(capsys.readouterr().err)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert not (run / ".segforge.lock").exists()
+        assert not (run / "sessions.jsonl").exists()
+    assert len(forks) == 1
+    assert errors[0] == errors[1], errors
+    assert len(errors[0].splitlines()) == 1 and repr(first) in errors[0], errors[0]
+    assert exits.read_text().split() == [str(os.getpid())] * 2
 
 
 def test_early_stages_are_deterministic(workdir, tmp_path):

@@ -125,6 +125,65 @@ def test_cluster_bytes_do_not_depend_on_the_process_count(golden_run, tmp_path, 
     assert produced["forked"] == produced["one-cpu"] == produced["fork-fails"] == golden
 
 
+# (run, usable CPUs, the forks that fail, counted from 1)
+SIMULATE_PROCESSES = [
+    ("one-cpu", {0}, ()),
+    ("two-cpus", {0, 1}, ()),
+    ("three-cpus", {0, 1, 2}, ()),  # ranges of uneven size
+    ("fork-fails", {0, 1, 2}, (1,)),
+    ("second-fork-fails", {0, 1, 2}, (2,)),
+]
+
+
+@pytest.mark.parametrize(
+    "config_text, digests",
+    [(GOLDEN_CONFIG, GOLDEN_SHA256), (RANDOM_CONFIG, RANDOM_SHA256)],
+    ids=["greedy", "random"],
+)
+def test_simulate_bytes_do_not_depend_on_the_process_count(
+    golden_run, tmp_path, monkeypatch, caplog, config_text, digests
+):
+    """simulate's players split over one, two and three processes, and with
+    a fork that fails, which plays that range and the later ones in this
+    process: the same sessions and events, and the same closing lines."""
+    config = tmp_path / "cohort.conf"
+    config.write_text(config_text)
+    real_fork = os.fork
+    forks = []
+
+    def fork():
+        forks.append(run)
+        if forks.count(run) in failing:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    closing = {}
+    for run, cpus, failing in SIMULATE_PROCESSES:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        out = tmp_path / run
+        out.mkdir()
+        for name in ("library.sqlite", "mazes.jsonl"):
+            shutil.copyfile(golden_run / name, out / name)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="segforge.cli"):
+            assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        for name in ("sessions.jsonl", "events.jsonl"):
+            digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+            assert digest == digests[name], (run, name)
+        cannot_fork = [m for m in caplog.messages if m.startswith("cannot fork")]
+        assert len(cannot_fork) == len(failing), (run, cannot_fork)
+        assert all(" playing player-" in m and m.endswith(" in this process") for m in cannot_fork)
+        closing[run] = caplog.messages[-2:]
+    assert forks == [
+        "two-cpus", "three-cpus", "three-cpus", "fork-fails", "second-fork-fails", "second-fork-fails"
+    ]
+    assert closing["fork-fails"][0].startswith("read ")
+    assert all(lines == closing["one-cpu"] for lines in closing.values()), closing
+
+
 def test_stage_table_declares_each_golden_file_once():
     declared = [name for stage in STAGE_TABLE.values() for name in stage.writes]
     assert sorted(declared) == sorted(GOLDEN_SHA256)

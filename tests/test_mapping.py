@@ -292,6 +292,40 @@ def test_closed_library_reads_no_more_rows(tmp_path) -> None:
         library.cluster_for(2, Difficulty.EASY)
 
 
+def test_reopened_library_reads_the_same_rows_through_its_own_connection(tmp_path) -> None:
+    """A forked process reads the library through a connection of its own:
+    the same rows, served and checked afresh, and neither connection can
+    write. A library in memory has no file and comes back as it is."""
+    path = tmp_path / "library.sqlite"
+    save_library(_tiny_library(), str(path))
+    before = path.read_bytes()
+    with load_library(str(path)) as library:
+        library.cluster_for(1, Difficulty.EASY)
+        with library.reopened() as reopened:
+            assert reopened._conn is not library._conn
+            assert reopened.read_ids() == (set(), set())
+            for level in Difficulty:
+                for compound_id in (1, 2):
+                    served = reopened.cluster_for(compound_id, level)
+                    assert served == library.cluster_for(compound_id, level)
+                    for game_id in served.member_game_ids:
+                        assert reopened.game(game_id) == library.game(game_id)
+            assert reopened.games_on("m0000") == library.games_on("m0000")
+            assert reopened == library
+            assert (reopened.mapping, reopened.metadata) == (library.mapping, library.metadata)
+            assert reopened.read_ids() == library.read_ids()
+            for conn in (library._conn, reopened._conn):
+                with pytest.raises(sqlite3.OperationalError, match="readonly"):
+                    conn.execute("DELETE FROM games")
+        # leaving the reopened library's block closes its connection only
+        assert library._conn.execute("SELECT count(*) FROM games").fetchone() == (9,)
+        with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+            reopened._conn.execute("SELECT 1")
+    assert path.read_bytes() == before
+    in_memory = _tiny_library()
+    assert in_memory.reopened() is in_memory
+
+
 def test_load_rejects_missing_file(tmp_path) -> None:
     with pytest.raises(CorruptStore):
         load_library(str(tmp_path / "absent.sqlite"))
